@@ -36,6 +36,7 @@ from .contfrac import (
     cf_ordinary,
     f_closed,
     f_direct,
+    jump_direct,
     q_apply,
     to_ordinary,
     trace_cf,
@@ -58,6 +59,5 @@ from .harness import (
     run_convergence_experiment,
     run_identity_suite,
 )
-from .cli import cli_main
 
 __version__ = "0.1.0"

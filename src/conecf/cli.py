@@ -15,7 +15,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .contfrac import CFSequence, cf_general, cf_ordinary, to_ordinary, trace_cf
+from .contfrac import DEPTH_CAP, CFSequence, cf_general, cf_ordinary, to_ordinary, trace_cf
 from .harness import (
     ExperimentConfig,
     format_identity_report,
@@ -24,9 +24,13 @@ from .harness import (
     summary_json,
 )
 from .jordan import ConeMembershipError, cone, from_json_dict, rel_residual, to_json_dict
-from .randmat import Beta2Params, RngStream, _beta2_arrays, _wishart_arrays
+from .randmat import Beta2Params, RngStream, sample_beta2, sample_wishart
 
 EQUIV_TOL = 1e-9
+
+
+class UsageError(ValueError):
+    """A flag value the input makes invalid; reported with exit code 2."""
 
 
 def load_sequence(path: str) -> CFSequence:
@@ -41,9 +45,19 @@ def load_sequence(path: str) -> CFSequence:
     return CFSequence(xs, ys, head)
 
 
+def _depth(args, seq: CFSequence, cap: Optional[int] = None) -> int:
+    """The --depth flag checked against the file (and a cap), defaulting to its length."""
+    if args.depth is None:
+        return len(seq.xs)
+    top = len(seq.xs) if cap is None else min(len(seq.xs), cap)
+    if not 1 <= args.depth <= top:
+        raise UsageError(f"--depth {args.depth} out of range [1, {top}] for this file")
+    return args.depth
+
+
 def _cmd_eval(args) -> int:
     seq = load_sequence(args.file)
-    depth = args.depth if args.depth is not None else len(seq.xs)
+    depth = _depth(args, seq)
     trace = trace_cf(seq, depth)
     if args.format == "csv":
         sys.stdout.write(trace.csv_text())
@@ -63,8 +77,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_equiv(args) -> int:
     seq = load_sequence(args.file)
-    depth = args.depth if args.depth is not None else len(seq.xs)
-    a = to_ordinary(seq)
+    depth = _depth(args, seq, DEPTH_CAP)
+    ys = seq.ys[:depth] if seq.ys is not None else None
+    a = to_ordinary(CFSequence(seq.xs[:depth], ys, seq.head))
     worst = 0.0
     for n in range(1, depth + 1):
         worst = max(worst, rel_residual(cf_general(seq, n), cf_ordinary(a[0], a[1:], n)))
@@ -102,23 +117,19 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.n < 1:
+        raise UsageError(f"--n must be at least 1, got {args.n}")
     rng = RngStream(args.seed)
-    gen = rng.generator
     if args.dist == "beta2":
         params = Beta2Params(args.p, args.q, args.rank)
-        draws = _beta2_arrays(params.p, params.q, params.r, gen, args.n)
+        draws = [sample_beta2(params, rng) for _ in range(args.n)]
         header = {"dist": "beta2", "p": args.p, "q": args.q}
     else:
-        if not args.s > (args.rank - 1) / 2.0:
-            raise ValueError(f"shape must exceed (r-1)/2, got {args.s}")
-        draws = _wishart_arrays(args.s, args.rank, gen, args.n)
+        draws = [sample_wishart(args.s, args.rank, rng) for _ in range(args.n)]
         header = {"dist": "wishart", "p": args.s, "q": None}
     doc = dict(header)
     doc.update({"r": args.rank, "seed": args.seed, "n": args.n})
-    doc["samples"] = [
-        to_json_dict(cone(from_json_dict({"r": args.rank, "data": d.tolist()})))
-        for d in draws
-    ]
+    doc["samples"] = [to_json_dict(d) for d in draws]
     text = json.dumps(doc, indent=2) + "\n"
     if args.out is not None:
         with open(args.out, "w", newline="\n") as fh:
@@ -188,6 +199,9 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ConeMembershipError, ValueError, ArithmeticError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,6 +15,13 @@ Evaluation conventions, applied throughout:
 * Convergents are evaluated tail first - the innermost level is computed
   and the recursion unwinds outward.  No forward three-term recurrence is
   used; the maps do not commute and none is defined here.
+* One kernel, ``_suffixes``, holds that backward recursion: in one pass it
+  returns every suffix value K_{i=j+1..n}(x_i / y_i), in the working
+  precision of its arrays.  The general evaluator, the trace, the unit
+  chain and its oracles, and the operator chains of F_k, u_k and Q_k all
+  read their brackets from it.  ``cf_ordinary`` alone keeps its own loop:
+  it is built from additions and inversions only, as the independent
+  oracle that ``cf_general`` is checked against.
 * Operator products are ordered lists of primitive maps applied right to
   left.  The adjoint of a product is the reversed list with each
   primitive replaced by its adjoint (plain <-> star, inv <-> star_inv,
@@ -38,15 +45,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .division import _chol_raw, _pi_raw
+from .division import chol_raw as _chol_raw
+from .division import pi_raw as _pi_raw
 from .jordan import (
-    CONE_TOL,
     ConeElement,
     ConeMembershipError,
     SymMatrix,
-    _jacobi,
     cone,
     in_cone,
+    inv_cone_raw,
+    inv_sym_raw,
+    min_eig_raw,
     rel_residual,
 )
 
@@ -61,6 +70,7 @@ __all__ = [
     "bracket",
     "w_seq",
     "f_direct",
+    "jump_direct",
     "f_closed",
     "u_vec",
     "q_apply",
@@ -68,8 +78,6 @@ __all__ = [
 ]
 
 DEPTH_CAP = 64
-
-_SINGULAR_TOL = 1e-13
 
 # Adjoints of the primitive map kinds; quadratic maps are self-adjoint.
 _ADJOINT = {"plain": "star", "star": "plain", "inv": "star_inv", "star_inv": "inv", "quad": "quad"}
@@ -159,33 +167,6 @@ def _frob(a: np.ndarray) -> float:
     return float(np.sqrt((a * a).sum()))
 
 
-def _inv_cone_raw(a: np.ndarray, what: str) -> np.ndarray:
-    """Invert a matrix required to lie in the open cone, verifying membership."""
-    w, v = _jacobi(a)
-    mn = w.min()
-    if not mn > CONE_TOL * (1.0 + _frob(a)):
-        raise ConeMembershipError(
-            f"{what}: smallest eigenvalue {mn:.3e} leaves the cone "
-            "(numerically singular input)"
-        )
-    inv = (v / w) @ v.T
-    return (inv + inv.T) / 2.0
-
-
-def _inv_sym_raw(a: np.ndarray, what: str) -> np.ndarray:
-    """Inverse of a symmetric, possibly indefinite, matrix via its spectrum."""
-    w, v = _jacobi(a)
-    if np.abs(w).min() <= _SINGULAR_TOL * (1.0 + np.abs(w).max()):
-        raise ArithmeticError(f"{what} is singular within tolerance; degenerate numerics")
-    inv = (v / w) @ v.T
-    return (inv + inv.T) / 2.0
-
-
-def _min_eig_raw(a: np.ndarray) -> float:
-    w, _ = _jacobi(a)
-    return float(w.min())
-
-
 def _apply_chain(chain, x: np.ndarray) -> np.ndarray:
     """Apply an ordered product of primitives to x, rightmost primitive first."""
     for kind, arg in reversed(chain):
@@ -207,23 +188,40 @@ def _check_index(k: int, have: int, least: int = 1) -> None:
         raise ValueError(f"depth {k} exceeds the hard cap {DEPTH_CAP}")
 
 
-def _unit_tail(arrs: Sequence[np.ndarray], ls: Sequence[np.ndarray], k: int) -> np.ndarray:
-    """Backward evaluation of the unit chain on the first k entries."""
-    acc = arrs[k - 1]
-    e = np.eye(acc.shape[0], dtype=acc.dtype)
-    for j in range(k - 2, -1, -1):
-        acc = _pi_raw(ls[j], _inv_cone_raw(e + acc, "unit chain denominator"), "plain")
-    return acc
+def _suffixes(
+    arrs: Sequence[np.ndarray],
+    ls: Sequence[np.ndarray],
+    ys: Optional[Sequence[np.ndarray]],
+    n: int,
+) -> list:
+    """Every suffix value S[j] = K_{i=j+1..n}(x_i / y_i), j = 0..n-1, in one backward pass.
 
-
-def _suffix_brackets(arrs: Sequence[np.ndarray], ls: Sequence[np.ndarray], k: int) -> list:
-    """All suffix values S[j] = [x_{j+1}, ..., x_k] for j = 0..k-1 in one pass."""
-    S: list = [None] * k
-    S[k - 1] = arrs[k - 1]
-    e = np.eye(arrs[0].shape[0], dtype=arrs[0].dtype)
-    for j in range(k - 2, -1, -1):
-        S[j] = _pi_raw(ls[j], _inv_cone_raw(e + S[j + 1], "unit chain denominator"), "plain")
+    ``ls`` are the Cholesky factors of ``arrs``.  With ``ys is None`` every
+    denominator is the identity and the innermost level is x_n itself;
+    otherwise it is the inverse of star_inv(l_n, y_n).  Only the first n
+    entries are read, and the dtype of the arrays is kept, so the
+    extended-precision oracles run through the same recursion.
+    """
+    if ys is None:
+        acc = arrs[n - 1]
+        ys = [np.eye(acc.shape[0], dtype=acc.dtype)] * n
+    else:
+        acc = inv_cone_raw(
+            _pi_raw(ls[n - 1], ys[n - 1], "star_inv"), f"innermost quotient (level {n})"
+        )
+    S: list = [None] * n
+    S[n - 1] = acc
+    for j in range(n - 2, -1, -1):
+        acc = _pi_raw(ls[j], inv_cone_raw(ys[j] + acc, f"denominator at level {j + 1}"), "plain")
+        S[j] = acc
     return S
+
+
+def _level_arrays(seq: CFSequence, n: int):
+    """Raw numerators, their Cholesky factors and raw denominators (or None) of levels 1..n."""
+    xs = [x.mat for x in seq.xs[:n]]
+    ys = [y.mat for y in seq.ys[:n]] if seq.ys is not None else None
+    return xs, [_chol_raw(x) for x in xs], ys
 
 
 def _chol_extended(a: np.ndarray) -> np.ndarray:
@@ -244,11 +242,6 @@ def _chol_extended(a: np.ndarray) -> np.ndarray:
     return l
 
 
-def _prefix_brackets(arrs: Sequence[np.ndarray], ls: Sequence[np.ndarray], n: int) -> list:
-    """Values [x_1, ..., x_k] for k = 1..n (one backward pass per k)."""
-    return [_unit_tail(arrs, ls, k) for k in range(1, n + 1)]
-
-
 # ---------------------------------------------------------------------------
 # convergent evaluators
 # ---------------------------------------------------------------------------
@@ -261,18 +254,7 @@ def cf_general(seq: CFSequence, n: int) -> SymMatrix:
     a breach raises ConeMembershipError.
     """
     _check_index(n, len(seq.xs))
-    r = seq.r
-    e = np.eye(r)
-    xs = [x.mat for x in seq.xs[:n]]
-    ys = [y.mat for y in seq.ys[:n]] if seq.ys is not None else [e] * n
-    ls = [_chol_raw(x) for x in xs]
-    acc = _inv_cone_raw(
-        _pi_raw(ls[n - 1], ys[n - 1], "star_inv"), f"innermost quotient (level {n})"
-    )
-    for j in range(n - 2, -1, -1):
-        acc = _pi_raw(
-            ls[j], _inv_cone_raw(ys[j] + acc, f"denominator at level {j + 1}"), "plain"
-        )
+    acc = _suffixes(*_level_arrays(seq, n), n)[0]
     if seq.head is not None:
         acc = seq.head.mat + acc
     return SymMatrix(acc)
@@ -289,7 +271,7 @@ def cf_ordinary(y0, a: Sequence, n: int) -> SymMatrix:
     arrs = [v.mat for v in a[:n]]
     acc = np.zeros_like(arrs[0])
     for j in range(n - 1, -1, -1):
-        acc = _inv_cone_raw(arrs[j] + acc, f"ordinary term at level {j + 1}")
+        acc = inv_cone_raw(arrs[j] + acc, f"ordinary term at level {j + 1}")
     if y0 is not None:
         acc = y0.mat + acc
     return SymMatrix(acc)
@@ -307,10 +289,9 @@ def to_ordinary(seq: CFSequence) -> list[SymMatrix]:
     n = len(seq.xs)
     _check_index(n, n)
     r = seq.r
-    e = np.eye(r)
-    xs = [x.mat for x in seq.xs]
-    ys = [y.mat for y in seq.ys] if seq.ys is not None else [e] * n
-    ls = [_chol_raw(x) for x in xs]
+    _, ls, ys = _level_arrays(seq, n)
+    if ys is None:
+        ys = [np.eye(r)] * n
     out = [seq.head.m if seq.head is not None else SymMatrix(np.zeros((r, r)))]
     for m in range(1, n + 1):
         v = ys[m - 1]
@@ -330,9 +311,7 @@ def bracket(xs: Sequence[ConeElement], k: int) -> ConeElement:
     _check_index(k, len(xs))
     if k == 1:
         return xs[0]
-    arrs = [x.mat for x in xs[:k]]
-    ls = [_chol_raw(a) for a in arrs]
-    return cone(SymMatrix(_unit_tail(arrs, ls, k)))
+    return cone(cf_general(CFSequence(tuple(xs[:k])), k))
 
 
 def w_seq(xs: Sequence[ConeElement], n: int) -> list[ConeElement]:
@@ -347,24 +326,20 @@ def w_seq(xs: Sequence[ConeElement], n: int) -> list[ConeElement]:
     if n < 2:
         raise ValueError("need n >= 2 to form a difference")
     _check_index(n, len(xs))
-    arrs = [x.mat for x in xs[:n]]
-    ls = [_chol_raw(a) for a in arrs]
-    B = _prefix_brackets(arrs, ls, n)
+    records = trace_cf(CFSequence(tuple(xs[:n])), n, with_cone_margins=False).records
     ws: list[ConeElement] = []
-    for k in range(1, n):
-        sign = 1.0 if k % 2 == 1 else -1.0
-        d = sign * (B[k - 1] - B[k])
-        c = in_cone(SymMatrix(d))
+    for rec in records[:-1]:
+        c = in_cone(rec.w)
         if c is None:
             raise ConeMembershipError(
-                f"signed difference w_{k} left the cone: min eigenvalue "
-                f"{_min_eig_raw(d):.3e}, norm {_frob(d):.3e}"
+                f"signed difference w_{rec.k} left the cone: min eigenvalue "
+                f"{min_eig_raw(rec.w.mat):.3e}, norm {_frob(rec.w.mat):.3e}"
             )
         ws.append(c)
-    total = arrs[0].copy()
+    total = xs[0].mat.copy()
     for k, w in enumerate(ws, start=1):
         total += (1.0 if k % 2 == 0 else -1.0) * w.mat
-    resid = rel_residual(total, B[n - 1])
+    resid = rel_residual(total, records[-1].convergent)
     if resid > 1e-10:
         raise ArithmeticError(
             f"partial-sum identity residual {resid:.3e} exceeds 1e-10 at n={n}"
@@ -389,30 +364,35 @@ def f_direct(xs: Sequence[ConeElement], k: int) -> SymMatrix:
     the chain starts converging, and the subtractive cancellation in
     double precision would otherwise eat the comparison tolerance.
     """
+    B = _extended_brackets(xs, k)
+    iB = [inv_cone_raw(b, f"bracket at depth {m}") for b, m in zip(B, (k, k + 1, k + 2))]
+    first = inv_sym_raw(iB[0] - iB[1], "first inverse difference")
+    second = inv_sym_raw(iB[1] - iB[2], "second inverse difference")
+    return SymMatrix(np.asarray(first + second, dtype=np.float64))
+
+
+def jump_direct(xs: Sequence[ConeElement], k: int) -> SymMatrix:
+    """Literal jump w_{k+1}^{-1} - w_k^{-1}, computed from brackets in extended precision.
+
+    The ground-truth oracle for ``q_apply`` at v = x_{k+2}^{-1}, kept in
+    extended precision for the same cancellation reason as ``f_direct``.
+    """
+    B = _extended_brackets(xs, k)
+    sign_k = 1.0 if k % 2 == 1 else -1.0
+    w_k = sign_k * (B[0] - B[1])
+    w_k1 = -sign_k * (B[1] - B[2])
+    jump = inv_cone_raw(w_k1, "w_{k+1}") - inv_cone_raw(w_k, "w_k")
+    return SymMatrix(np.asarray(jump, dtype=np.float64))
+
+
+def _extended_brackets(xs: Sequence[ConeElement], k: int) -> list:
+    """[x_1..x_m] for m = k, k+1, k+2, in extended precision."""
     if k < 1:
         raise ValueError("need k >= 1")
     _check_index(k + 2, len(xs))
     arrs = [x.mat.astype(np.longdouble) for x in xs[: k + 2]]
     ls = [_chol_extended(a) for a in arrs]
-    iB = [
-        _inv_cone_raw(_unit_tail(arrs, ls, m), f"bracket at depth {m}")
-        for m in (k, k + 1, k + 2)
-    ]
-    first = _inv_sym_raw(iB[0] - iB[1], "first inverse difference")
-    second = _inv_sym_raw(iB[1] - iB[2], "second inverse difference")
-    return SymMatrix(np.asarray(first + second, dtype=np.float64))
-
-
-def _jump_expected(xs: Sequence[ConeElement], k: int) -> np.ndarray:
-    """Oracle value of w_{k+1}^{-1} - w_k^{-1} from brackets, in extended precision."""
-    arrs = [x.mat.astype(np.longdouble) for x in xs[: k + 2]]
-    ls = [_chol_extended(a) for a in arrs]
-    B = [_unit_tail(arrs, ls, m) for m in (k, k + 1, k + 2)]
-    sign_k = 1.0 if k % 2 == 1 else -1.0
-    w_k = sign_k * (B[0] - B[1])
-    w_k1 = -sign_k * (B[1] - B[2])
-    jump = _inv_cone_raw(w_k1, "w_{k+1}") - _inv_cone_raw(w_k, "w_k")
-    return np.asarray(jump, dtype=np.float64)
+    return [_suffixes(arrs, ls, None, m)[0] for m in (k, k + 1, k + 2)]
 
 
 def _u_raw(
@@ -428,7 +408,7 @@ def _u_raw(
     """
     r = zarrs[0].shape[0]
     e = np.eye(r)
-    T = _suffix_brackets(zarrs[:m], zls[:m], m)  # T[j] = [z_{j+1} .. z_m]
+    T = _suffixes(zarrs, zls, None, m)  # T[j] = [z_{j+1} .. z_m]
     inv_cache: dict[int, np.ndarray] = {}
     H = e.copy()
     for i in range(0, m - 2):
@@ -437,7 +417,7 @@ def _u_raw(
             start = m - j  # 1-based start of [z_{m-j} .. z_m]
             q = inv_cache.get(start)
             if q is None:
-                q = _inv_cone_raw(e + T[start - 1], "unit tail denominator")
+                q = inv_cone_raw(e + T[start - 1], "unit tail denominator")
                 inv_cache[start] = q
             v = q @ v @ q
             v = _pi_raw(zls[start - 1], v, "star")
@@ -459,11 +439,10 @@ def u_vec(xs: Sequence[ConeElement], k: int) -> ConeElement:
     zarrs = [x.mat for x in xs[: k + 1]]
     zls = [_chol_raw(a) for a in zarrs]
     H, u = _u_raw(zarrs, zls, k)
-    hc = in_cone(SymMatrix(H))
-    if hc is None:
+    if in_cone(SymMatrix(H)) is None:
         raise ConeMembershipError(
             f"tail correction H left the cone at k={k}: min eigenvalue "
-            f"{_min_eig_raw(H):.3e}, norm {_frob(H):.3e}"
+            f"{min_eig_raw(H):.3e}, norm {_frob(H):.3e}"
         )
     uc = in_cone(SymMatrix(u))
     if uc is None:
@@ -477,17 +456,7 @@ def _f_closed_chain(arrs, ls, k: int):
     e = np.eye(r)
     if k == 1:
         return [("plain", ls[0]), ("star_inv", ls[1]), ("star_inv", ls[2])], 1.0
-    if k == 2:
-        mid = e + _pi_raw(ls[2], e, "star")
-        chain = [
-            ("plain", ls[0]),
-            ("star_inv", ls[1]),
-            ("star_inv", ls[2]),
-            ("quad", mid),
-            ("star_inv", ls[3]),
-        ]
-        return chain, -1.0
-    S = _suffix_brackets(arrs[:k], ls[:k], k)
+    S = _suffixes(arrs, ls, None, k)
     chain = [("plain", ls[0])]
     for i in range(2, k):
         chain.append(("star_inv", ls[i - 1]))
@@ -525,9 +494,9 @@ def _q_chain(xs: Sequence[ConeElement], k: int):
     if in_cone(SymMatrix(H)) is None:
         raise ConeMembershipError(
             f"tail correction H (unit-led, k={k}) left the cone: "
-            f"min eigenvalue {_min_eig_raw(H):.3e}"
+            f"min eigenvalue {min_eig_raw(H):.3e}"
         )
-    S = _suffix_brackets(arrs[:k], ls[:k], k)
+    S = _suffixes(arrs, ls, None, k)
     chain = []
     for i in range(1, k):
         chain.append(("star_inv", ls[i - 1]))
@@ -574,41 +543,22 @@ def trace_cf(seq: CFSequence, depth: int, with_cone_margins: bool = True) -> Con
     """
     if not 1 <= depth <= len(seq.xs):
         raise ValueError(f"depth {depth} out of range [1, {len(seq.xs)}]")
-    r = seq.r
-    e = np.eye(r)
-    xs = [x.mat for x in seq.xs[:depth]]
-    ys = [y.mat for y in seq.ys[:depth]] if seq.ys is not None else [e] * depth
-    ls = [_chol_raw(x) for x in xs]
+    xs, ls, ys = _level_arrays(seq, depth)
     head = seq.head.mat if seq.head is not None else None
 
     convergents = []
     for n in range(1, depth + 1):
-        acc = _inv_cone_raw(
-            _pi_raw(ls[n - 1], ys[n - 1], "star_inv"), f"innermost quotient (level {n})"
-        )
-        for j in range(n - 2, -1, -1):
-            acc = _pi_raw(
-                ls[j], _inv_cone_raw(ys[j] + acc, f"denominator at level {j + 1}"), "plain"
-            )
+        acc = _suffixes(xs, ls, ys, n)[0]
         convergents.append(acc if head is None else head + acc)
 
     records = []
     for k in range(1, depth + 1):
+        w = delta = margin = None
         if k < depth:
             diff = convergents[k - 1] - convergents[k]
-            sign = 1.0 if k % 2 == 1 else -1.0
-            w = SymMatrix(sign * diff)
+            w = SymMatrix((1.0 if k % 2 == 1 else -1.0) * diff)
             delta = _frob(diff)
-            margin = _min_eig_raw(w.mat) if with_cone_margins else None
-        else:
-            w, delta, margin = None, None, None
-        records.append(
-            TraceRecord(
-                k=k,
-                convergent=SymMatrix(convergents[k - 1]),
-                w=w,
-                delta_norm=delta,
-                w_min_eig=margin,
-            )
-        )
+            margin = min_eig_raw(w.mat) if with_cone_margins else None
+        conv = SymMatrix(convergents[k - 1])
+        records.append(TraceRecord(k=k, convergent=conv, w=w, delta_norm=delta, w_min_eig=margin))
     return ConvergentTrace(tuple(records))

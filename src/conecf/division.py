@@ -35,6 +35,8 @@ __all__ = [
     "MODES",
     "TriangularFactor",
     "cholesky",
+    "chol_raw",
+    "pi_raw",
     "pi_apply",
     "pi_signed_apply",
     "quad_div",
@@ -97,6 +99,10 @@ def _pi_raw(l: np.ndarray, x: np.ndarray, mode: str) -> np.ndarray:
         w = solve_triangular(l, x, lower=True, trans=1, check_finite=False)
         return solve_triangular(l, w.T, lower=True, trans=1, check_finite=False).T
     raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+
+
+# Public names of the array-level kernels, for the evaluators' raw-array loops.
+chol_raw, pi_raw = _chol_raw, _pi_raw
 
 
 def pi_apply(y, x: SymMatrix, mode: str) -> SymMatrix:

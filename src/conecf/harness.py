@@ -23,19 +23,18 @@ from __future__ import annotations
 
 import json
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .contfrac import (
     CFSequence,
-    _jump_expected,
-    _min_eig_raw,
     cf_general,
     cf_ordinary,
     f_closed,
     f_direct,
+    jump_direct,
     q_apply,
     to_ordinary,
     trace_cf,
@@ -52,6 +51,7 @@ from .jordan import (
     identity,
     in_cone,
     inverse,
+    min_eig_raw,
     quad_rep_apply,
     rel_residual,
 )
@@ -124,6 +124,12 @@ class TrialResult:
     monotonicity_violations: int
 
 
+def _closed_cone_test(d: np.ndarray) -> tuple[float, bool]:
+    """Smallest eigenvalue of d, and whether it is below -ASSERT_TOL * (1 + ||d||)."""
+    mn = min_eig_raw(d)
+    return mn, mn < -ASSERT_TOL * (1.0 + float(np.sqrt((d * d).sum())))
+
+
 def _draw_inputs(cfg: ExperimentConfig, stream: RngStream) -> list[ConeElement]:
     if cfg.law == "identity":
         return [identity(cfg.rank)] * cfg.depth
@@ -144,12 +150,9 @@ def _run_trial(cfg: ExperimentConfig, trial_id: int, master: RngStream):
     violations = 0
     worst = 0.0
     for k in range(len(ws) - 1):
-        d = ws[k] - ws[k + 1]
-        mn = _min_eig_raw(d)
+        mn, breach = _closed_cone_test(ws[k] - ws[k + 1])
         worst = max(worst, -mn)
-        scale = 1.0 + float(np.sqrt((d * d).sum()))
-        if mn < -ASSERT_TOL * scale:
-            violations += 1
+        violations += breach
 
     first_cauchy: Optional[int] = None
     for k in range(len(deltas), 0, -1):
@@ -294,10 +297,7 @@ def run_identity_suite(rank: int, cases: int, seed: int) -> dict:
         if y is None:
             skipped += 1
             continue
-        d = inverse(x).mat - inverse(y).mat
-        mn = _min_eig_raw(d)
-        if mn < -ASSERT_TOL * (1.0 + float(np.sqrt((d * d).sum()))):
-            violations += 1
+        violations += _closed_cone_test(inverse(x).mat - inverse(y).mat)[1]
     record("inverse_antitone", 0.0, 1.0, violations)
 
     # equivalence of the general and ordinary evaluators
@@ -333,9 +333,7 @@ def run_identity_suite(rank: int, cases: int, seed: int) -> dict:
             sign_violations += 1
             continue
         for wa, wb in zip(ws, ws[1:]):
-            d = wa.mat - wb.mat
-            if _min_eig_raw(d) < -ASSERT_TOL * (1.0 + float(np.sqrt((d * d).sum()))):
-                decrease_violations += 1
+            decrease_violations += _closed_cone_test(wa.mat - wb.mat)[1]
         for k in range(3, depth):
             try:
                 u_vec(xs, k)
@@ -367,13 +365,11 @@ def run_identity_suite(rank: int, cases: int, seed: int) -> dict:
         try:
             xs = tuple(_wishart_elem(rank, stream) for _ in range(k + 2))
             jump = q_apply(xs, k, inverse(xs[k + 1]))
-            worst = max(worst, rel_residual(jump, _jump_expected(xs, k)))
+            worst = max(worst, rel_residual(jump, jump_direct(xs, k)))
             y = _wishart_elem(rank, stream)
             adj = q_apply(xs, k, y, adjoint=True)
             floor = pi_apply(xs[0], y.m, "inv")
-            d = adj.mat - floor.mat
-            if _min_eig_raw(d) < -ASSERT_TOL * (1.0 + float(np.sqrt((d * d).sum()))):
-                order_violations += 1
+            order_violations += _closed_cone_test(adj.mat - floor.mat)[1]
             if not frob_norm(adj) > frob_norm(floor):
                 norm_violations += 1
         except ConeMembershipError:

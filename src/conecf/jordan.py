@@ -35,6 +35,9 @@ __all__ = [
     "in_cone",
     "cone",
     "cone_less",
+    "min_eig_raw",
+    "inv_cone_raw",
+    "inv_sym_raw",
     "frob_norm",
     "rel_residual",
     "to_json_dict",
@@ -265,6 +268,34 @@ def inverse(x: ConeElement) -> ConeElement:
     return power(x, -1.0)
 
 
+def min_eig_raw(a: np.ndarray) -> float:
+    """Smallest eigenvalue of a raw symmetric array."""
+    w, _ = _jacobi(a)
+    return float(w.min())
+
+
+def inv_cone_raw(a: np.ndarray, what: str) -> np.ndarray:
+    """Inverse of a raw array that must clear the ``in_cone`` margin; ``what`` names it."""
+    w, v = _jacobi(a)
+    mn = w.min()
+    if not mn > CONE_TOL * (1.0 + float(np.sqrt((a * a).sum()))):
+        raise ConeMembershipError(
+            f"{what}: smallest eigenvalue {mn:.3e} leaves the cone "
+            "(numerically singular input)"
+        )
+    inv = (v / w) @ v.T
+    return (inv + inv.T) / 2.0
+
+
+def inv_sym_raw(a: np.ndarray, what: str) -> np.ndarray:
+    """Inverse of a raw symmetric, possibly indefinite, array via its spectrum."""
+    w, v = _jacobi(a)
+    if np.abs(w).min() <= _SINGULAR_TOL * (1.0 + np.abs(w).max()):
+        raise ArithmeticError(f"{what} is singular within tolerance; degenerate numerics")
+    inv = (v / w) @ v.T
+    return (inv + inv.T) / 2.0
+
+
 def frob_norm(x: SymMatrix) -> float:
     """sqrt(trace(x^2)), the norm induced by the trace inner product."""
     a = x.mat
@@ -278,23 +309,21 @@ def in_cone(x: SymMatrix) -> Optional[ConeElement]:
     a strict margin that keeps downstream Cholesky factorizations
     well-conditioned.
     """
-    w, _ = _jacobi(x.mat)
-    mn = float(w.min())
-    if mn > CONE_TOL * (1.0 + frob_norm(x)):
-        return ConeElement(x, mn)
-    return None
+    try:
+        return cone(x)
+    except ConeMembershipError:
+        return None
 
 
 def cone(x: SymMatrix) -> ConeElement:
     """Like in_cone but raising ConeMembershipError on the negative answer."""
-    c = in_cone(x)
-    if c is None:
-        w, _ = _jacobi(x.mat)
+    mn = min_eig_raw(x.mat)
+    if not mn > CONE_TOL * (1.0 + frob_norm(x)):
         raise ConeMembershipError(
             f"matrix is not positive definite within the cone margin "
-            f"(smallest eigenvalue {w.min():.3e})"
+            f"(smallest eigenvalue {mn:.3e})"
         )
-    return c
+    return ConeElement(x, mn)
 
 
 def cone_less(x: SymMatrix, y: SymMatrix) -> bool:

@@ -29,7 +29,6 @@ from conecf import (
     bracket,
     cf_general,
     cf_ordinary,
-    cli_main,
     cone,
     f_closed,
     f_direct,
@@ -37,6 +36,7 @@ from conecf import (
     identity,
     inner,
     inverse,
+    jump_direct,
     pi_apply,
     q_apply,
     quad_rep_apply,
@@ -48,7 +48,7 @@ from conecf import (
     u_vec,
     w_seq,
 )
-from conecf.contfrac import _jump_expected
+from conecf.cli import cli_main
 from conecf.jordan import ASSERT_TOL, _jacobi
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -165,7 +165,7 @@ def test_criterion_4_jump_identity_and_operator_bounds():
             a = sample_wishart(3.0, r, pairing_stream)
             worst_jump = max(
                 worst_jump,
-                rel_residual(q_apply(xs, k, inverse(xs[k + 1])), _jump_expected(xs, k)),
+                rel_residual(q_apply(xs, k, inverse(xs[k + 1])), jump_direct(xs, k)),
             )
             adj = q_apply(xs, k, y, adjoint=True)
             lhs = inner(q_apply(xs, k, a), y.m)

@@ -3,8 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conecf import cli_main
-from conecf.cli import load_sequence
+from conecf.cli import cli_main, load_sequence
 
 
 def write_ones_file(path, n=40, r=1):
@@ -70,6 +69,14 @@ class TestEquiv:
         write_general_file(f)
         assert cli_main(["equiv", str(f)]) == 0
         assert "max relative deviation" in capsys.readouterr().out
+
+    def test_depth_within_cap_on_longer_file(self, tmp_path, capsys):
+        # only the levels up to --depth are transformed, so a file longer
+        # than the depth cap still checks at the cap
+        f = tmp_path / "ones.json"
+        write_ones_file(f, n=70)
+        assert cli_main(["equiv", str(f), "--depth", "64"]) == 0
+        assert "depths 1..64" in capsys.readouterr().out
 
 
 class TestIdentities:
@@ -154,3 +161,21 @@ class TestUsage:
     def test_no_command(self, capsys):
         assert cli_main([]) == 2
         capsys.readouterr()
+
+    def test_sample_count_below_one(self, capsys):
+        assert cli_main(["sample", "--dist", "wishart", "--s", "0.1", "--n", "0"]) == 2
+        assert "--n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("depth", ["0", "6"])
+    def test_eval_depth_out_of_range(self, tmp_path, capsys, depth):
+        f = tmp_path / "ones.json"
+        write_ones_file(f, n=5)
+        assert cli_main(["eval", str(f), "--depth", depth]) == 2
+        assert "--depth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("depth", ["0", "3"])
+    def test_equiv_depth_out_of_range(self, tmp_path, capsys, depth):
+        f = tmp_path / "seq.json"
+        write_general_file(f)
+        assert cli_main(["equiv", str(f), "--depth", depth]) == 2
+        assert "--depth" in capsys.readouterr().err

@@ -17,7 +17,9 @@ from conecf import (
     f_direct,
     frob_norm,
     identity,
+    inner,
     inverse,
+    jump_direct,
     pi_apply,
     q_apply,
     rel_residual,
@@ -27,7 +29,7 @@ from conecf import (
     w_seq,
     zero,
 )
-from conecf.contfrac import DEPTH_CAP, _chol_extended, _jump_expected, _u_raw
+from conecf.contfrac import DEPTH_CAP, _chol_extended, _u_raw
 from conecf.division import _chol_raw
 from conecf.jordan import ASSERT_TOL, _jacobi
 
@@ -266,7 +268,7 @@ class TestJumpOperator:
         g = np.random.default_rng(seed)
         xs = tuple(make_spd(r, g) for _ in range(k + 2))
         jump = q_apply(xs, k, inverse(xs[k + 1]))
-        assert rel_residual(jump, _jump_expected(xs, k)) < 1e-8
+        assert rel_residual(jump, jump_direct(xs, k)) < 1e-8
 
     @few
     @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(2, 8))
@@ -302,9 +304,22 @@ class TestJumpOperator:
         w_, _ = _jacobi(d)
         assert w_.min() / (1 + np.sqrt((d * d).sum())) < -1e-3
 
+    def test_adjoint_pairing(self, rng):
+        # <Q_k(a), y> = <a, Q_k^*(y)>: the adjoint chain reverses the factors
+        # and adjoins each one
+        for r in (1, 2, 3):
+            for k in range(2, 7):
+                xs = tuple(make_spd(r, rng) for _ in range(k + 2))
+                a, y = make_spd(r, rng), make_spd(r, rng)
+                lhs = inner(q_apply(xs, k, a), y.m)
+                rhs = inner(a.m, q_apply(xs, k, y, adjoint=True))
+                assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs)), (r, k)
+
     def test_index_validation(self):
         with pytest.raises(ValueError):
             q_apply(ones(4), 1, scal(1.0))
+        with pytest.raises(ValueError):
+            jump_direct(ones(3), 2)
 
 
 class TestExtendedPrecisionHelpers:
