@@ -3,7 +3,6 @@
 from .jordan import (
     ASSERT_TOL,
     CONE_TOL,
-    EIG_TOL,
     ConeElement,
     ConeMembershipError,
     EigenConvergenceError,

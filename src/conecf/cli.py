@@ -46,10 +46,10 @@ def load_sequence(path: str) -> CFSequence:
 
 
 def _depth(args, seq: CFSequence, cap: Optional[int] = None) -> int:
-    """The --depth flag checked against the file (and a cap), defaulting to its length."""
-    if args.depth is None:
-        return len(seq.xs)
+    """The --depth flag checked against the file (and a cap), defaulting to the top of that range."""
     top = len(seq.xs) if cap is None else min(len(seq.xs), cap)
+    if args.depth is None:
+        return top
     if not 1 <= args.depth <= top:
         raise UsageError(f"--depth {args.depth} out of range [1, {top}] for this file")
     return args.depth

@@ -5,6 +5,10 @@ product; its cone of squares is the set of positive definite matrices,
 ordered by the Loewner order.  Everything is small and dense (workflows
 stay at rank <= 16), and every operation is a pure function over
 immutable values.
+
+All eigen work goes through ``_jacobi``: closed forms at rank <= 2, LAPACK
+for double precision at rank >= 3, and cyclic Jacobi rotations for the
+``np.longdouble`` arrays of the extended-precision oracles.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from typing import Optional
 import numpy as np
 
 __all__ = [
-    "EIG_TOL",
     "MAX_SWEEPS",
     "CONE_TOL",
     "ASSERT_TOL",
@@ -44,8 +47,7 @@ __all__ = [
     "from_json_dict",
 ]
 
-EIG_TOL = 1e-12     # relative off-diagonal target of the eigensolver
-MAX_SWEEPS = 64     # cyclic Jacobi sweep cap
+MAX_SWEEPS = 64     # cyclic Jacobi sweep cap (extended precision only)
 CONE_TOL = 1e-10    # relative margin for open-cone membership
 ASSERT_TOL = 1e-8   # looser margin for "lies in the closed cone" assertions
 
@@ -60,7 +62,7 @@ class ConeMembershipError(ValueError):
 
 
 class EigenConvergenceError(RuntimeError):
-    """The Jacobi sweep cap was hit before the off-diagonal target."""
+    """The eigensolver failed, hit its sweep cap, or returned a non-finite eigenvalue."""
 
 
 def _as_square_float(entries) -> np.ndarray:
@@ -175,20 +177,22 @@ def quad_rep_apply(x: SymMatrix, y: SymMatrix) -> SymMatrix:
     return SymMatrix(x.mat @ y.mat @ x.mat)
 
 
-def _jacobi(a: np.ndarray, tol: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a symmetric matrix by cyclic Jacobi rotations.
+def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a symmetric matrix; the package's one eigen entry point.
 
-    Sweeps stop once every off-diagonal magnitude is at most
-    tol * (1 + max absolute entry of the input); ``tol`` defaults to
-    EIG_TOL, or to the dtype's own resolution for wider floats (extended
-    precision is used by oracle-grade evaluations).  Returns the raw
-    (unsorted) eigenvalue vector and the orthogonal column basis,
-    dtype-preserving.
+    Rank 1 and 2 use closed forms (one rotation diagonalizes a 2x2 exactly).
+    At rank >= 3, double precision goes to LAPACK (``np.linalg.eigh``), and
+    ``np.longdouble`` input, which only the extended-precision oracles pass,
+    to cyclic Jacobi rotations that stop once every off-diagonal magnitude
+    is at most 100 * eps(longdouble) * (1 + max absolute entry); casting it
+    to double would throw away the oracles' precision margin.  Returns the
+    raw eigenvalue vector (in no promised order) and the orthogonal column
+    basis, in the input's dtype (double for anything but longdouble).
+    Raises EigenConvergenceError when the solver fails or an eigenvalue is
+    not finite.
     """
     n = a.shape[0]
     dtype = a.dtype if a.dtype in (np.dtype(np.float64), np.dtype(np.longdouble)) else np.dtype(np.float64)
-    if tol is None:
-        tol = EIG_TOL if dtype == np.dtype(np.float64) else 100.0 * float(np.finfo(dtype).eps)
     if n == 1:
         return np.array([a[0, 0]], dtype=dtype), np.ones((1, 1), dtype=dtype)
     if n == 2:
@@ -205,9 +209,19 @@ def _jacobi(a: np.ndarray, tol: Optional[float] = None) -> tuple[np.ndarray, np.
         vals = np.array([app - t * apq, aqq + t * apq], dtype=dtype)
         vecs = np.array([[c, s], [-s, c]], dtype=dtype)
         return vals, vecs
+    if dtype == np.dtype(np.float64):
+        try:
+            w, v = np.linalg.eigh(a.astype(dtype, copy=False))
+        except np.linalg.LinAlgError as exc:
+            raise EigenConvergenceError(f"LAPACK eigensolver failed: {exc}") from exc
+        # eigh passes NaN through silently, and a NaN smallest eigenvalue
+        # would pass a closed-cone test of the form ``mn < -margin``
+        if not np.isfinite(w).all():
+            raise EigenConvergenceError("eigensolver returned a non-finite eigenvalue")
+        return w, v
     d = np.array(a, dtype=dtype)
     v = np.eye(n, dtype=dtype)
-    thresh = tol * (1.0 + np.abs(d).max())
+    thresh = 100.0 * float(np.finfo(dtype).eps) * (1.0 + np.abs(d).max())
     skip = 0.01 * thresh  # rotations this small cannot move the sweep target
     iu, ju = np.triu_indices(n, 1)
     for _ in range(MAX_SWEEPS):

@@ -78,6 +78,12 @@ class TestEquiv:
         assert cli_main(["equiv", str(f), "--depth", "64"]) == 0
         assert "depths 1..64" in capsys.readouterr().out
 
+    def test_default_depth_is_capped(self, tmp_path, capsys):
+        f = tmp_path / "ones.json"
+        write_ones_file(f, n=70)
+        assert cli_main(["equiv", str(f)]) == 0
+        assert "depths 1..64" in capsys.readouterr().out
+
 
 class TestIdentities:
     def test_rank_one_passes(self, capsys):

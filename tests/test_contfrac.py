@@ -330,6 +330,21 @@ class TestExtendedPrecisionHelpers:
             lext = _chol_extended(a.astype(np.longdouble))
             assert np.allclose(np.asarray(lext, dtype=float), l64, rtol=1e-13)
 
+    def test_oracles_decompose_in_extended_precision(self, rng, monkeypatch):
+        # every eigendecomposition of the oracles sees a longdouble array, so
+        # none of their work passes through the double-precision LAPACK path
+        seen = []
+
+        def recording(a):
+            seen.append(a.dtype)
+            return _jacobi(a)
+
+        xs = tuple(make_spd(3, rng) for _ in range(6))
+        monkeypatch.setattr("conecf.jordan._jacobi", recording)
+        f_direct(xs, 3)
+        jump_direct(xs, 3)
+        assert seen and set(seen) == {np.dtype(np.longdouble)}
+
     def test_extended_cholesky_rejects_indefinite(self):
         with pytest.raises(ConeMembershipError):
             _chol_extended(np.array([[1.0, 2.0], [2.0, 1.0]], dtype=np.longdouble))

@@ -22,7 +22,7 @@ from conecf import (
     to_json_dict,
     zero,
 )
-from conecf.jordan import EIG_TOL, _jacobi
+from conecf.jordan import EigenConvergenceError, _jacobi
 
 from helpers import make_spd, make_sym
 
@@ -150,11 +150,38 @@ class TestSpectral:
         assert list(spec.eigenvalues) == sorted(spec.eigenvalues, reverse=True)
 
     def test_jacobi_against_lapack(self, rng):
+        # at rank >= 3 the double-precision path is LAPACK itself, so the
+        # extended-precision rotations are what this compares there
         for r in (2, 3, 4, 6):
             for _ in range(25):
                 a = make_sym(r, rng, scale=2.0).mat
+                tol = 1e-10 * (1 + np.abs(a).max())
                 w, _ = _jacobi(a)
-                assert np.allclose(np.sort(w), np.linalg.eigvalsh(a), atol=1e-10 * (1 + np.abs(a).max()))
+                assert np.allclose(np.sort(w), np.linalg.eigvalsh(a), atol=tol)
+                if r >= 3:
+                    w, _ = _jacobi(a.astype(np.longdouble))
+                    assert np.allclose(np.sort(w).astype(float), np.linalg.eigvalsh(a), atol=tol)
+
+    def test_extended_precision_eigenpairs(self, rng):
+        # the rotations keep longdouble end to end: the reconstruction and
+        # orthogonality residuals sit below 100 eps(longdouble), a floor
+        # that a detour through double precision cannot reach
+        floor = 100.0 * np.finfo(np.longdouble).eps
+        assert floor < np.finfo(np.float64).eps / 10
+        for r in (3, 4, 6):
+            for _ in range(10):
+                a = make_sym(r, rng, scale=2.0).mat.astype(np.longdouble)
+                scale = 1 + float(np.abs(a).max())
+                w, v = _jacobi(a)
+                assert w.dtype == np.longdouble and v.dtype == np.longdouble
+                assert float(np.abs((v * w) @ v.T - a).max()) < floor * scale
+                assert float(np.abs(v.T @ v - np.eye(r)).max()) < floor
+
+    def test_non_finite_input_raises(self):
+        a = np.eye(3)
+        a[0, 1] = a[1, 0] = np.nan
+        with pytest.raises(EigenConvergenceError):
+            _jacobi(a)
 
 
 class TestPower:
