@@ -37,8 +37,12 @@ def load_sequence(path: str) -> CFSequence:
     """Read a CFSequence from JSON: {"head": m|null, "xs": [m...], "ys": [m...]?}."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or not isinstance(doc.get("xs"), list):
+        raise ValueError('a sequence file holds an object with an "xs" list of matrices')
     xs = tuple(cone(from_json_dict(d)) for d in doc["xs"])
     ys = doc.get("ys")
+    if ys is not None and not isinstance(ys, list):
+        raise ValueError('"ys" must be a list of matrices or null')
     ys = tuple(cone(from_json_dict(d)) for d in ys) if ys is not None else None
     head = doc.get("head")
     head = cone(from_json_dict(head)) if head is not None else None

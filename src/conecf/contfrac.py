@@ -387,6 +387,12 @@ def jump_direct(xs: Sequence[ConeElement], k: int) -> SymMatrix:
 
 def _extended_brackets(xs: Sequence[ConeElement], k: int) -> list:
     """[x_1..x_m] for m = k, k+1, k+2, in extended precision."""
+    if np.finfo(np.longdouble).eps > 1e-18:
+        # where longdouble is double, the oracles would silently lose their margin
+        raise ArithmeticError(
+            "np.longdouble is no wider than double on this platform; "
+            "the extended-precision oracles need at least 64 mantissa bits"
+        )
     if k < 1:
         raise ValueError("need k >= 1")
     _check_index(k + 2, len(xs))

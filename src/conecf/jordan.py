@@ -6,9 +6,11 @@ ordered by the Loewner order.  Everything is small and dense (workflows
 stay at rank <= 16), and every operation is a pure function over
 immutable values.
 
-All eigen work goes through ``_jacobi``: closed forms at rank <= 2, LAPACK
-for double precision at rank >= 3, and cyclic Jacobi rotations for the
-``np.longdouble`` arrays of the extended-precision oracles.
+All eigen work goes through ``_jacobi``: closed forms at rank <= 2 and
+LAPACK at rank >= 3.  The extended-precision oracles need ``np.longdouble``
+only for their inverses, so ``inv_cone_raw``/``inv_sym_raw`` refine the
+double-precision inverse of a longdouble array with two Newton steps in
+longdouble.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from typing import Optional
 import numpy as np
 
 __all__ = [
-    "MAX_SWEEPS",
     "CONE_TOL",
     "ASSERT_TOL",
     "ConeMembershipError",
@@ -47,7 +48,6 @@ __all__ = [
     "from_json_dict",
 ]
 
-MAX_SWEEPS = 64     # cyclic Jacobi sweep cap (extended precision only)
 CONE_TOL = 1e-10    # relative margin for open-cone membership
 ASSERT_TOL = 1e-8   # looser margin for "lies in the closed cone" assertions
 
@@ -55,6 +55,7 @@ ASSERT_TOL = 1e-8   # looser margin for "lies in the closed cone" assertions
 _SYM_REJECT_TOL = 1e-9
 # Inverting a symmetric matrix fails below this relative eigenvalue magnitude.
 _SINGULAR_TOL = 1e-13
+_LONGDOUBLE = np.dtype(np.longdouble)
 
 
 class ConeMembershipError(ValueError):
@@ -62,7 +63,7 @@ class ConeMembershipError(ValueError):
 
 
 class EigenConvergenceError(RuntimeError):
-    """The eigensolver failed, hit its sweep cap, or returned a non-finite eigenvalue."""
+    """The eigensolver failed or returned a non-finite eigenvalue."""
 
 
 def _as_square_float(entries) -> np.ndarray:
@@ -180,16 +181,14 @@ def quad_rep_apply(x: SymMatrix, y: SymMatrix) -> SymMatrix:
 def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a symmetric matrix; the package's one eigen entry point.
 
-    Rank 1 and 2 use closed forms (one rotation diagonalizes a 2x2 exactly).
-    At rank >= 3, double precision goes to LAPACK (``np.linalg.eigh``), and
-    ``np.longdouble`` input, which only the extended-precision oracles pass,
-    to cyclic Jacobi rotations that stop once every off-diagonal magnitude
-    is at most 100 * eps(longdouble) * (1 + max absolute entry); casting it
-    to double would throw away the oracles' precision margin.  Returns the
-    raw eigenvalue vector (in no promised order) and the orthogonal column
-    basis, in the input's dtype (double for anything but longdouble).
-    Raises EigenConvergenceError when the solver fails or an eigenvalue is
-    not finite.
+    Rank 1 and 2 use closed forms (one rotation diagonalizes a 2x2 exactly)
+    in the input's dtype (double for anything but longdouble).  Rank >= 3
+    goes to LAPACK (``np.linalg.eigh``) on the double-precision cast, so
+    ``np.longdouble`` input gets double eigenpairs there; the inverse
+    helpers refine those back to longdouble.  Returns the raw eigenvalue
+    vector (in no promised order) and the orthogonal column basis.  Raises
+    EigenConvergenceError when the solver fails or an eigenvalue is not
+    finite.
     """
     n = a.shape[0]
     dtype = a.dtype if a.dtype in (np.dtype(np.float64), np.dtype(np.longdouble)) else np.dtype(np.float64)
@@ -209,54 +208,15 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vals = np.array([app - t * apq, aqq + t * apq], dtype=dtype)
         vecs = np.array([[c, s], [-s, c]], dtype=dtype)
         return vals, vecs
-    if dtype == np.dtype(np.float64):
-        try:
-            w, v = np.linalg.eigh(a.astype(dtype, copy=False))
-        except np.linalg.LinAlgError as exc:
-            raise EigenConvergenceError(f"LAPACK eigensolver failed: {exc}") from exc
-        # eigh passes NaN through silently, and a NaN smallest eigenvalue
-        # would pass a closed-cone test of the form ``mn < -margin``
-        if not np.isfinite(w).all():
-            raise EigenConvergenceError("eigensolver returned a non-finite eigenvalue")
-        return w, v
-    d = np.array(a, dtype=dtype)
-    v = np.eye(n, dtype=dtype)
-    thresh = 100.0 * float(np.finfo(dtype).eps) * (1.0 + np.abs(d).max())
-    skip = 0.01 * thresh  # rotations this small cannot move the sweep target
-    iu, ju = np.triu_indices(n, 1)
-    for _ in range(MAX_SWEEPS):
-        if np.abs(d[iu, ju]).max() <= thresh:
-            return np.diagonal(d).copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = d[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (d[q, q] - d[p, p]) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = d[:, p].copy()
-                col_q = d[:, q].copy()
-                d[:, p] = c * col_p - s * col_q
-                d[:, q] = s * col_p + c * col_q
-                row_p = d[p, :].copy()
-                row_q = d[q, :].copy()
-                d[p, :] = c * row_p - s * row_q
-                d[q, :] = s * row_p + c * row_q
-                d[p, q] = 0.0
-                d[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    if np.abs(d[iu, ju]).max() <= thresh:
-        return np.diagonal(d).copy(), v
-    raise EigenConvergenceError(
-        f"Jacobi sweeps did not reach the off-diagonal target in {MAX_SWEEPS} sweeps"
-    )
+    try:
+        w, v = np.linalg.eigh(a.astype(np.float64, copy=False))
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(f"LAPACK eigensolver failed: {exc}") from exc
+    # eigh passes NaN through silently, and a NaN smallest eigenvalue
+    # would pass a closed-cone test of the form ``mn < -margin``
+    if not np.isfinite(w).all():
+        raise EigenConvergenceError("eigensolver returned a non-finite eigenvalue")
+    return w, v
 
 
 def spectral_decomposition(x: SymMatrix) -> Spectrum:
@@ -297,8 +257,7 @@ def inv_cone_raw(a: np.ndarray, what: str) -> np.ndarray:
             f"{what}: smallest eigenvalue {mn:.3e} leaves the cone "
             "(numerically singular input)"
         )
-    inv = (v / w) @ v.T
-    return (inv + inv.T) / 2.0
+    return _inverse_from(a, w, v)
 
 
 def inv_sym_raw(a: np.ndarray, what: str) -> np.ndarray:
@@ -306,8 +265,28 @@ def inv_sym_raw(a: np.ndarray, what: str) -> np.ndarray:
     w, v = _jacobi(a)
     if np.abs(w).min() <= _SINGULAR_TOL * (1.0 + np.abs(w).max()):
         raise ArithmeticError(f"{what} is singular within tolerance; degenerate numerics")
+    return _inverse_from(a, w, v)
+
+
+def _inverse_from(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Inverse of ``a`` from its eigenpairs, refined when they are less precise than ``a``.
+
+    LAPACK eigenpairs of a longdouble array are double precision; two
+    Newton-Schulz steps X <- X + sym(X (I - A X)) in longdouble, with
+    sym(Y) = (Y + Y^T)/2, bring the inverse to the longdouble rounding
+    floor for every condition number below about 3e14.  Both callers
+    stay far below that: the cone margin caps it near 1e10 and
+    ``_SINGULAR_TOL`` at 1e13.
+    """
     inv = (v / w) @ v.T
-    return (inv + inv.T) / 2.0
+    inv = (inv + inv.T) / 2.0
+    if a.dtype == _LONGDOUBLE and w.dtype != _LONGDOUBLE:
+        inv = inv.astype(a.dtype)
+        eye = np.eye(a.shape[0], dtype=a.dtype)
+        for _ in range(2):
+            step = inv @ (eye - a @ inv)
+            inv = inv + (step + step.T) / 2.0
+    return inv
 
 
 def frob_norm(x: SymMatrix) -> float:
@@ -363,8 +342,12 @@ def to_json_dict(x) -> dict:
 
 
 def from_json_dict(d: dict) -> SymMatrix:
-    r = int(d["r"])
-    data = d["data"]
-    if len(data) != r or any(len(row) != r for row in data):
+    """Parse the JSON matrix encoding; any other document shape raises ValueError."""
+    if not (isinstance(d, dict) and isinstance(d.get("r"), int) and isinstance(d.get("data"), list)):
+        raise ValueError('expected a matrix {"r": size, "data": [rows]}')
+    r, data = d["r"], d["data"]
+    if len(data) != r or any(not isinstance(row, list) or len(row) != r for row in data):
         raise ValueError(f"matrix data does not match declared size r={r}")
+    if not all(isinstance(t, (int, float)) for row in data for t in row):
+        raise ValueError("matrix entries must be numbers")
     return SymMatrix(np.array(data, dtype=float))

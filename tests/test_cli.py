@@ -53,6 +53,17 @@ class TestEval:
         f.write_text(json.dumps({"xs": [{"r": 1, "data": [[-1.0]]}]}))
         assert cli_main(["eval", str(f)]) == 1
 
+    @pytest.mark.parametrize(
+        "doc",
+        [[], {"xs": 5}, {"xs": [{"r": 2, "data": 7}]}],
+        ids=["list", "xs-not-a-list", "data-not-a-list"],
+    )
+    def test_malformed_document_is_failure(self, tmp_path, capsys, doc):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        assert cli_main(["eval", str(f)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestLoadSequence:
     def test_round_trip(self, tmp_path):

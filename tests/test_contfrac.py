@@ -31,7 +31,7 @@ from conecf import (
 )
 from conecf.contfrac import DEPTH_CAP, _chol_extended, _u_raw
 from conecf.division import _chol_raw
-from conecf.jordan import ASSERT_TOL, _jacobi
+from conecf.jordan import ASSERT_TOL, _jacobi, inv_cone_raw, inv_sym_raw
 
 from helpers import make_spd
 
@@ -330,20 +330,40 @@ class TestExtendedPrecisionHelpers:
             lext = _chol_extended(a.astype(np.longdouble))
             assert np.allclose(np.asarray(lext, dtype=float), l64, rtol=1e-13)
 
-    def test_oracles_decompose_in_extended_precision(self, rng, monkeypatch):
-        # every eigendecomposition of the oracles sees a longdouble array, so
-        # none of their work passes through the double-precision LAPACK path
+    def test_oracles_invert_in_extended_precision(self, rng, monkeypatch):
+        # every inverse the oracles take, the closed-form 2x2 ones and the
+        # refined LAPACK ones at rank 3, is a longdouble array
         seen = []
 
-        def recording(a):
-            seen.append(a.dtype)
-            return _jacobi(a)
+        def recording(invert):
+            def wrapped(a, what):
+                out = invert(a, what)
+                seen.append(out.dtype)
+                return out
 
-        xs = tuple(make_spd(3, rng) for _ in range(6))
-        monkeypatch.setattr("conecf.jordan._jacobi", recording)
-        f_direct(xs, 3)
-        jump_direct(xs, 3)
-        assert seen and set(seen) == {np.dtype(np.longdouble)}
+            return wrapped
+
+        monkeypatch.setattr("conecf.contfrac.inv_cone_raw", recording(inv_cone_raw))
+        monkeypatch.setattr("conecf.contfrac.inv_sym_raw", recording(inv_sym_raw))
+        for r in (2, 3):
+            xs = tuple(make_spd(r, rng) for _ in range(6))
+            f_direct(xs, 3)
+            jump_direct(xs, 3)
+        assert len(seen) > 20 and set(seen) == {np.dtype(np.longdouble)}
+
+    def test_oracles_refuse_a_double_width_longdouble(self, monkeypatch):
+        # where longdouble is double, the oracles would lose their margin
+        # silently; they must say so instead
+        real_finfo = np.finfo
+
+        def finfo(t):
+            return real_finfo(np.float64 if np.dtype(t) == np.dtype(np.longdouble) else t)
+
+        monkeypatch.setattr(np, "finfo", finfo)
+        with pytest.raises(ArithmeticError, match="longdouble"):
+            f_direct(ones(3), 1)
+        with pytest.raises(ArithmeticError, match="longdouble"):
+            jump_direct(ones(3), 1)
 
     def test_extended_cholesky_rejects_indefinite(self):
         with pytest.raises(ConeMembershipError):

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from conecf import (
     to_json_dict,
     zero,
 )
-from conecf.jordan import EigenConvergenceError, _jacobi
+from conecf.jordan import EigenConvergenceError, _jacobi, inv_cone_raw, inv_sym_raw
 
 from helpers import make_spd, make_sym
 
@@ -150,32 +151,47 @@ class TestSpectral:
         assert list(spec.eigenvalues) == sorted(spec.eigenvalues, reverse=True)
 
     def test_jacobi_against_lapack(self, rng):
-        # at rank >= 3 the double-precision path is LAPACK itself, so the
-        # extended-precision rotations are what this compares there
         for r in (2, 3, 4, 6):
             for _ in range(25):
                 a = make_sym(r, rng, scale=2.0).mat
                 tol = 1e-10 * (1 + np.abs(a).max())
                 w, _ = _jacobi(a)
                 assert np.allclose(np.sort(w), np.linalg.eigvalsh(a), atol=tol)
-                if r >= 3:
-                    w, _ = _jacobi(a.astype(np.longdouble))
-                    assert np.allclose(np.sort(w).astype(float), np.linalg.eigvalsh(a), atol=tol)
 
-    def test_extended_precision_eigenpairs(self, rng):
-        # the rotations keep longdouble end to end: the reconstruction and
-        # orthogonality residuals sit below 100 eps(longdouble), a floor
-        # that a detour through double precision cannot reach
-        floor = 100.0 * np.finfo(np.longdouble).eps
-        assert floor < np.finfo(np.float64).eps / 10
+    def test_refined_longdouble_inverse(self, rng):
+        # the oracles' longdouble inverses come from double eigenpairs
+        # refined in longdouble; they must reach the longdouble floor,
+        # 10 eps(longdouble) cond relative, against a 40-digit reference,
+        # which neither the unrefined double inverse nor a refinement
+        # against the double-rounded matrix can
+        eps = float(np.finfo(np.longdouble).eps)
+
+        def exact(m):
+            # each longdouble entry as the exact binary fraction it holds
+            return mpmath.matrix([[mpmath.mpf(n) / d for n, d in (t.as_integer_ratio() for t in row)]
+                                  for row in m])
+
+        def spread(r, signs):
+            # a random orthogonal basis with eigenvalues spanning 1e-7..1
+            q, _ = np.linalg.qr(rng.normal(size=(r, r)))
+            m = (q * (signs * np.logspace(-7, 0, r))) @ q.T
+            return (m + m.T) / 2.0
+
         for r in (3, 4, 6):
-            for _ in range(10):
-                a = make_sym(r, rng, scale=2.0).mat.astype(np.longdouble)
-                scale = 1 + float(np.abs(a).max())
-                w, v = _jacobi(a)
-                assert w.dtype == np.longdouble and v.dtype == np.longdouble
-                assert float(np.abs((v * w) @ v.T - a).max()) < floor * scale
-                assert float(np.abs(v.T @ v - np.eye(r)).max()) < floor
+            signs = np.where(np.arange(r) % 2 == 0, 1.0, -1.0)
+            cases = [(make_spd(r, rng).mat, inv_cone_raw) for _ in range(8)]
+            cases += [(make_sym(r, rng, scale=2.0).mat, inv_sym_raw) for _ in range(8)]
+            cases += [(spread(r, np.ones(r)), inv_cone_raw), (spread(r, signs), inv_sym_raw)]
+            for a64, invert in cases:
+                # dividing by 3 in longdouble leaves entries double cannot hold
+                a = a64.astype(np.longdouble) / np.longdouble(3)
+                got = invert(a, "test matrix")
+                assert got.dtype == np.longdouble
+                with mpmath.workdps(40):
+                    ref = mpmath.inverse(exact(a))
+                    rel = float(mpmath.mnorm(exact(got) - ref, "f") / mpmath.mnorm(ref, "f"))
+                lam = np.abs(np.linalg.eigvalsh(np.asarray(a, dtype=np.float64)))
+                assert rel <= 10.0 * eps * (lam.max() / lam.min())
 
     def test_non_finite_input_raises(self):
         a = np.eye(3)
