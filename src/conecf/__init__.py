@@ -1,8 +1,6 @@
 """Continued fractions on the cone of positive definite symmetric matrices."""
 
 from .jordan import (
-    ASSERT_TOL,
-    CONE_TOL,
     ConeElement,
     ConeMembershipError,
     EigenConvergenceError,

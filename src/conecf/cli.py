@@ -23,7 +23,7 @@ from .harness import (
     run_identity_suite,
     summary_json,
 )
-from .jordan import ConeMembershipError, cone, from_json_dict, rel_residual, to_json_dict
+from .jordan import cone, from_json_dict, rel_residual, to_json_dict
 from .randmat import Beta2Params, RngStream, sample_beta2, sample_wishart
 
 EQUIV_TOL = 1e-9
@@ -36,7 +36,10 @@ class UsageError(ValueError):
 def load_sequence(path: str) -> CFSequence:
     """Read a CFSequence from JSON: {"head": m|null, "xs": [m...], "ys": [m...]?}."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("the sequence file nests too deeply to parse") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("xs"), list):
         raise ValueError('a sequence file holds an object with an "xs" list of matrices')
     xs = tuple(cone(from_json_dict(d)) for d in doc["xs"])
@@ -206,7 +209,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConeMembershipError, ValueError, ArithmeticError, OSError, KeyError) as exc:
+    except (ValueError, ArithmeticError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -52,7 +52,7 @@ from .jordan import (
     ConeMembershipError,
     SymMatrix,
     cone,
-    in_cone,
+    frob_norm,
     inv_cone_raw,
     inv_sym_raw,
     min_eig_raw,
@@ -152,7 +152,7 @@ class ConvergentTrace:
             if rec.w is None:
                 wnorm = margin = ""
             else:
-                wnorm = repr(float(np.sqrt((rec.w.mat**2).sum())))
+                wnorm = repr(frob_norm(rec.w))
                 margin = "" if rec.w_min_eig is None else repr(rec.w_min_eig)
             lines.append(f"{rec.k},{delta},{wnorm},{margin}")
         return "\n".join(lines) + "\n"
@@ -161,10 +161,6 @@ class ConvergentTrace:
 # ---------------------------------------------------------------------------
 # raw helpers
 # ---------------------------------------------------------------------------
-
-
-def _frob(a: np.ndarray) -> float:
-    return float(np.sqrt((a * a).sum()))
 
 
 def _apply_chain(chain, x: np.ndarray) -> np.ndarray:
@@ -327,15 +323,7 @@ def w_seq(xs: Sequence[ConeElement], n: int) -> list[ConeElement]:
         raise ValueError("need n >= 2 to form a difference")
     _check_index(n, len(xs))
     records = trace_cf(CFSequence(tuple(xs[:n])), n, with_cone_margins=False).records
-    ws: list[ConeElement] = []
-    for rec in records[:-1]:
-        c = in_cone(rec.w)
-        if c is None:
-            raise ConeMembershipError(
-                f"signed difference w_{rec.k} left the cone: min eigenvalue "
-                f"{min_eig_raw(rec.w.mat):.3e}, norm {_frob(rec.w.mat):.3e}"
-            )
-        ws.append(c)
+    ws = [cone(rec.w, f"signed difference w_{rec.k}") for rec in records[:-1]]
     total = xs[0].mat.copy()
     for k, w in enumerate(ws, start=1):
         total += (1.0 if k % 2 == 0 else -1.0) * w.mat
@@ -445,15 +433,8 @@ def u_vec(xs: Sequence[ConeElement], k: int) -> ConeElement:
     zarrs = [x.mat for x in xs[: k + 1]]
     zls = [_chol_raw(a) for a in zarrs]
     H, u = _u_raw(zarrs, zls, k)
-    if in_cone(SymMatrix(H)) is None:
-        raise ConeMembershipError(
-            f"tail correction H left the cone at k={k}: min eigenvalue "
-            f"{min_eig_raw(H):.3e}, norm {_frob(H):.3e}"
-        )
-    uc = in_cone(SymMatrix(u))
-    if uc is None:
-        raise ConeMembershipError(f"u_{k} failed cone certification despite H in the cone")
-    return uc
+    cone(SymMatrix(H), f"tail correction H at k={k}")
+    return cone(SymMatrix(u), f"u_{k}")
 
 
 def _f_closed_chain(arrs, ls, k: int):
@@ -497,11 +478,7 @@ def _q_chain(xs: Sequence[ConeElement], k: int):
     zarrs = [e] + arrs[: k + 1]
     zls = [np.eye(r)] + ls[: k + 1]
     H, u = _u_raw(zarrs, zls, k + 1)
-    if in_cone(SymMatrix(H)) is None:
-        raise ConeMembershipError(
-            f"tail correction H (unit-led, k={k}) left the cone: "
-            f"min eigenvalue {min_eig_raw(H):.3e}"
-        )
+    cone(SymMatrix(H), f"unit-led tail correction H at k={k}")
     S = _suffixes(arrs, ls, None, k)
     chain = []
     for i in range(1, k):
@@ -563,7 +540,7 @@ def trace_cf(seq: CFSequence, depth: int, with_cone_margins: bool = True) -> Con
         if k < depth:
             diff = convergents[k - 1] - convergents[k]
             w = SymMatrix((1.0 if k % 2 == 1 else -1.0) * diff)
-            delta = _frob(diff)
+            delta = frob_norm(diff)
             margin = min_eig_raw(w.mat) if with_cone_margins else None
         conv = SymMatrix(convergents[k - 1])
         records.append(TraceRecord(k=k, convergent=conv, w=w, delta_norm=delta, w_min_eig=margin))

@@ -43,16 +43,16 @@ from .contfrac import (
 )
 from .division import pi_apply
 from .jordan import (
-    ASSERT_TOL,
     ConeElement,
     ConeMembershipError,
     SymMatrix,
+    closed_cone_test,
     cone,
+    eigenvalues_dominate,
     frob_norm,
     identity,
     in_cone,
     inverse,
-    min_eig_raw,
     quad_rep_apply,
     rel_residual,
 )
@@ -125,12 +125,6 @@ class TrialResult:
     monotonicity_violations: int
 
 
-def _closed_cone_test(d: np.ndarray) -> tuple[float, bool]:
-    """Smallest eigenvalue of d, and whether it is below -ASSERT_TOL * (1 + ||d||)."""
-    mn = min_eig_raw(d)
-    return mn, mn < -ASSERT_TOL * (1.0 + float(np.sqrt((d * d).sum())))
-
-
 def _draw_inputs(cfg: ExperimentConfig, stream: RngStream) -> list[ConeElement]:
     if cfg.law == "identity":
         return [identity(cfg.rank)] * cfg.depth
@@ -151,7 +145,7 @@ def _run_trial(cfg: ExperimentConfig, trial_id: int, master: RngStream):
     violations = 0
     worst = 0.0
     for k in range(len(ws) - 1):
-        mn, breach = _closed_cone_test(ws[k] - ws[k + 1])
+        mn, breach = closed_cone_test(ws[k] - ws[k + 1])
         worst = max(worst, -mn)
         violations += breach
 
@@ -244,10 +238,11 @@ def run_identity_suite(rank: int, cases: int, seed: int) -> dict:
     """Randomized verification of the module identities at the stated tolerances.
 
     Returns a report dict with the worst relative residual (or violation
-    count) per identity, a skipped-case count, and an overall pass flag.
-    Inputs that fail cone certification are skipped, not failed.  The
-    sequence-level identities (alternation, closed forms, jumps) run
-    cases/10 sequences each, every sequence exercising about ten indices.
+    count) per identity, a skipped-case count, and a pass flag over all but
+    ``adjoint_order_bound``.  Inputs that fail cone certification are
+    skipped, not failed.  The sequence-level identities (alternation,
+    closed forms, jumps) run cases/10 sequences each, every sequence
+    exercising about ten indices.
     """
     if rank > 4:
         raise ValueError(f"the suite runs at rank <= 4, got {rank}")
@@ -298,7 +293,7 @@ def run_identity_suite(rank: int, cases: int, seed: int) -> dict:
         if y is None:
             skipped += 1
             continue
-        violations += _closed_cone_test(inverse(x).mat - inverse(y).mat)[1]
+        violations += closed_cone_test(inverse(x).mat - inverse(y).mat)[1]
     record("inverse_antitone", 0.0, 1.0, violations)
 
     # equivalence of the general and ordinary evaluators
@@ -334,7 +329,7 @@ def run_identity_suite(rank: int, cases: int, seed: int) -> dict:
             sign_violations += 1
             continue
         for wa, wb in zip(ws, ws[1:]):
-            decrease_violations += _closed_cone_test(wa.mat - wb.mat)[1]
+            decrease_violations += closed_cone_test(wa.mat - wb.mat)[1]
         for k in range(3, depth):
             try:
                 u_vec(xs, k)
@@ -360,6 +355,7 @@ def run_identity_suite(rank: int, cases: int, seed: int) -> dict:
     stream = split_stream(master, 7)
     worst = 0.0
     order_violations = 0
+    eig_violations = 0
     norm_violations = 0
     for c in range(max(1, cases // 10)):
         k = 2 + c % 7
@@ -370,20 +366,20 @@ def run_identity_suite(rank: int, cases: int, seed: int) -> dict:
             y = _wishart_elem(rank, stream)
             adj = q_apply(xs, k, y, adjoint=True)
             floor = pi_apply(xs[0], y.m, "inv")
-            order_violations += _closed_cone_test(adj.mat - floor.mat)[1]
-            if not frob_norm(adj) > frob_norm(floor):
-                norm_violations += 1
+            order_violations += closed_cone_test(adj.mat - floor.mat)[1]
+            eig_violations += not eigenvalues_dominate(adj, floor)
+            norm_violations += not frob_norm(adj) > frob_norm(floor)
         except ConeMembershipError:
             skipped += 1
     record("jump_identity", worst, 1e-8)
     record("adjoint_norm_bound", 0.0, 1.0, norm_violations)
-    # Known to fail at rank >= 2: the cone-order form of the adjoint bound
-    # does not hold for non-commuting factors (the norm form above does).
+    record("adjoint_eigenvalue_bound", 0.0, 1.0, eig_violations)
+    # reported, not gated: the cone-order form is false at rank >= 2
     record("adjoint_order_bound", 0.0, 1.0, order_violations)
 
     report["skipped"] = skipped
     report["identities"] = checks
-    report["pass"] = all(entry["pass"] for entry in checks.values())
+    report["pass"] = all(e["pass"] for name, e in checks.items() if name != "adjoint_order_bound")
     return report
 
 

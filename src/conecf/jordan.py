@@ -15,6 +15,7 @@ longdouble.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,6 +40,8 @@ __all__ = [
     "in_cone",
     "cone",
     "cone_less",
+    "closed_cone_test",
+    "eigenvalues_dominate",
     "min_eig_raw",
     "inv_cone_raw",
     "inv_sym_raw",
@@ -48,12 +51,12 @@ __all__ = [
     "from_json_dict",
 ]
 
-CONE_TOL = 1e-10    # relative margin for open-cone membership
-ASSERT_TOL = 1e-8   # looser margin for "lies in the closed cone" assertions
+CONE_TOL = 1e-10    # relative open-cone margin: smallest eigenvalue > CONE_TOL * ||x||
+ASSERT_TOL = 1e-8   # closed-cone margin, -ASSERT_TOL * (1 + ||d||); see closed_cone_test
 
 # Constructors reject this much asymmetry as user error rather than round-off.
 _SYM_REJECT_TOL = 1e-9
-# Inverting a symmetric matrix fails below this relative eigenvalue magnitude.
+# Inverting a symmetric matrix fails when min |eigenvalue| <= _SINGULAR_TOL * max |eigenvalue|.
 _SINGULAR_TOL = 1e-13
 _LONGDOUBLE = np.dtype(np.longdouble)
 
@@ -62,7 +65,7 @@ class ConeMembershipError(ValueError):
     """A value that must be positive definite is not, within the cone margin."""
 
 
-class EigenConvergenceError(RuntimeError):
+class EigenConvergenceError(ArithmeticError):
     """The eigensolver failed or returned a non-finite eigenvalue."""
 
 
@@ -248,22 +251,28 @@ def min_eig_raw(a: np.ndarray) -> float:
     return float(w.min())
 
 
-def inv_cone_raw(a: np.ndarray, what: str) -> np.ndarray:
-    """Inverse of a raw array that must clear the ``in_cone`` margin; ``what`` names it."""
-    w, v = _jacobi(a)
-    mn = w.min()
-    if not mn > CONE_TOL * (1.0 + float(np.sqrt((a * a).sum()))):
+def _open_cone_min(w: np.ndarray, what: str) -> float:
+    """The smallest eigenvalue of ``what`` if it clears CONE_TOL * ||x||, with ||x|| = hypot(w)."""
+    lam = w.tolist()
+    mn, norm = min(lam), math.hypot(*lam)
+    if not mn > CONE_TOL * norm:
         raise ConeMembershipError(
-            f"{what}: smallest eigenvalue {mn:.3e} leaves the cone "
-            "(numerically singular input)"
+            f"{what} leaves the cone: smallest eigenvalue {mn:.3e}, norm {norm:.3e}"
         )
+    return float(mn)
+
+
+def inv_cone_raw(a: np.ndarray, what: str) -> np.ndarray:
+    """Inverse of a raw array that must clear the open-cone margin; ``what`` names it."""
+    w, v = _jacobi(a)
+    _open_cone_min(w, what)
     return _inverse_from(a, w, v)
 
 
 def inv_sym_raw(a: np.ndarray, what: str) -> np.ndarray:
     """Inverse of a raw symmetric, possibly indefinite, array via its spectrum."""
     w, v = _jacobi(a)
-    if np.abs(w).min() <= _SINGULAR_TOL * (1.0 + np.abs(w).max()):
+    if np.abs(w).min() <= _SINGULAR_TOL * np.abs(w).max():
         raise ArithmeticError(f"{what} is singular within tolerance; degenerate numerics")
     return _inverse_from(a, w, v)
 
@@ -275,8 +284,8 @@ def _inverse_from(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
     Newton-Schulz steps X <- X + sym(X (I - A X)) in longdouble, with
     sym(Y) = (Y + Y^T)/2, bring the inverse to the longdouble rounding
     floor for every condition number below about 3e14.  Both callers
-    stay far below that: the cone margin caps it near 1e10 and
-    ``_SINGULAR_TOL`` at 1e13.
+    stay far below that at every scale: the relative cone margin caps it
+    at 1e10 and the relative ``_SINGULAR_TOL`` test at 1e13.
     """
     inv = (v / w) @ v.T
     inv = (inv + inv.T) / 2.0
@@ -289,18 +298,27 @@ def _inverse_from(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return inv
 
 
-def frob_norm(x: SymMatrix) -> float:
-    """sqrt(trace(x^2)), the norm induced by the trace inner product."""
-    a = x.mat
-    return float(np.sqrt(np.einsum("ij,ij->", a, a)))
+def frob_norm(x) -> float:
+    """sqrt(trace(x^2)) of a SymMatrix, ConeElement or raw array, at any scale.
+
+    Where squaring the entries can neither overflow nor underflow this is
+    exactly sqrt((a*a).sum()); elsewhere the entries are first scaled by a
+    power of two, which is exact, so no RuntimeWarning is raised.
+    """
+    a = _mat_of(x)
+    big = float(np.abs(a).max(initial=0.0))
+    # with the largest entry in [2^-480, 2^480], up to 2^60 squares sum safely
+    e = math.frexp(big)[1] if 0.0 < big < 2.0**-480 or 2.0**480 < big < math.inf else 0
+    b = np.ldexp(a, -e) if e else a
+    return math.ldexp(float(np.sqrt((b * b).sum())), e)
 
 
 def in_cone(x: SymMatrix) -> Optional[ConeElement]:
     """Certify x as positive definite, or return None.
 
-    Membership needs the smallest eigenvalue to clear CONE_TOL * (1 + ||x||),
-    a strict margin that keeps downstream Cholesky factorizations
-    well-conditioned.
+    Membership needs the smallest eigenvalue to clear CONE_TOL * ||x||, a
+    strict relative margin: it keeps downstream Cholesky factorizations
+    well-conditioned and gives s * x the verdict of x at every scale s > 0.
     """
     try:
         return cone(x)
@@ -308,15 +326,9 @@ def in_cone(x: SymMatrix) -> Optional[ConeElement]:
         return None
 
 
-def cone(x: SymMatrix) -> ConeElement:
-    """Like in_cone but raising ConeMembershipError on the negative answer."""
-    mn = min_eig_raw(x.mat)
-    if not mn > CONE_TOL * (1.0 + frob_norm(x)):
-        raise ConeMembershipError(
-            f"matrix is not positive definite within the cone margin "
-            f"(smallest eigenvalue {mn:.3e})"
-        )
-    return ConeElement(x, mn)
+def cone(x: SymMatrix, what: str = "matrix") -> ConeElement:
+    """Like in_cone but raising ConeMembershipError, naming ``what``, on the negative answer."""
+    return ConeElement(x, _open_cone_min(_jacobi(x.mat)[0], what))
 
 
 def cone_less(x: SymMatrix, y: SymMatrix) -> bool:
@@ -325,14 +337,27 @@ def cone_less(x: SymMatrix, y: SymMatrix) -> bool:
     return in_cone(SymMatrix(y.mat - x.mat)) is not None
 
 
+def closed_cone_test(d: np.ndarray) -> tuple[float, bool]:
+    """Smallest eigenvalue of d, and whether it is below -ASSERT_TOL * (1 + ||d||).
+
+    The margin is absolute below norm one on purpose: consecutive w_k of a
+    converged tail differ by rounding noise near zero, which a relative
+    margin would count as breaches of the closed cone.
+    """
+    mn = min_eig_raw(d)
+    return mn, mn < -ASSERT_TOL * (1.0 + frob_norm(d))
+
+
+def eigenvalues_dominate(a: SymMatrix, b: SymMatrix) -> bool:
+    """Whether the ascending eigenvalues of a reach those of b (in the cone), within ASSERT_TOL."""
+    lo = np.sort(_jacobi(b.mat)[0]) * (1.0 - ASSERT_TOL)
+    return bool((np.sort(_jacobi(a.mat)[0]) >= lo).all())
+
+
 def rel_residual(a, b) -> float:
     """Frobenius distance scaled by 1 + the larger operand norm."""
-    am = _mat_of(a)
-    bm = _mat_of(b)
-    diff = float(np.sqrt(((am - bm) ** 2).sum()))
-    na = float(np.sqrt((am * am).sum()))
-    nb = float(np.sqrt((bm * bm).sum()))
-    return diff / (1.0 + max(na, nb))
+    am, bm = _mat_of(a), _mat_of(b)
+    return frob_norm(am - bm) / (1.0 + max(frob_norm(am), frob_norm(bm)))
 
 
 def to_json_dict(x) -> dict:
@@ -342,12 +367,12 @@ def to_json_dict(x) -> dict:
 
 
 def from_json_dict(d: dict) -> SymMatrix:
-    """Parse the JSON matrix encoding; any other document shape raises ValueError."""
-    if not (isinstance(d, dict) and isinstance(d.get("r"), int) and isinstance(d.get("data"), list)):
+    """Parse the JSON matrix encoding; any other shape (true/false included) raises ValueError."""
+    if not (isinstance(d, dict) and type(d.get("r")) is int and isinstance(d.get("data"), list)):
         raise ValueError('expected a matrix {"r": size, "data": [rows]}')
     r, data = d["r"], d["data"]
     if len(data) != r or any(not isinstance(row, list) or len(row) != r for row in data):
         raise ValueError(f"matrix data does not match declared size r={r}")
-    if not all(isinstance(t, (int, float)) for row in data for t in row):
+    if not all(type(t) in (int, float) for row in data for t in row):
         raise ValueError("matrix entries must be numbers")
     return SymMatrix(np.array(data, dtype=float))

@@ -1,9 +1,17 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conecf.cli import cli_main, load_sequence
+
+from helpers import run_cli_module
 
 
 def write_ones_file(path, n=40, r=1):
@@ -63,6 +71,94 @@ class TestEval:
         f.write_text(json.dumps(doc))
         assert cli_main(["eval", str(f)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestScale:
+    @pytest.mark.parametrize("s", [1e200, 1e-11])
+    def test_eval_csv_at_extreme_scales(self, tmp_path, s):
+        f = tmp_path / "scaled.json"
+        f.write_text(json.dumps({"xs": [{"r": 3, "data": (s * np.eye(3)).tolist()}] * 3}))
+        proc = run_cli_module("eval", str(f), "--format", "csv")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        lines = proc.stdout.strip().split("\n")
+        assert len(lines) == 4
+        assert "inf" not in proc.stdout and "nan" not in proc.stdout
+
+    def test_overflowing_levels_fail_cleanly(self, tmp_path, capsys):
+        # the quotient of 1e300 by 1e-300 overflows; the eigensolver's
+        # failure is reported as an error, not a traceback
+        m = lambda v: {"r": 3, "data": (v * np.eye(3)).tolist()}  # noqa: E731
+        f = tmp_path / "overflow.json"
+        f.write_text(json.dumps({"xs": [m(1e-300)] * 2, "ys": [m(1e300)] * 2}))
+        assert cli_main(["eval", str(f)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def fuzz_case(fault, r, n, scale, command, depth_pick):
+    """Sequence file text and ``--depth`` flags carrying one fault, with the expected exit code."""
+    mat = lambda k: {"r": k, "data": (scale * np.eye(k)).tolist()}  # noqa: E731
+    doc = {"xs": [mat(r) for _ in range(n)]}
+    top = n if command == "eval" else min(n, 64)
+    depth = None if depth_pick is None else 1 + depth_pick % top
+    code = 1
+    if fault == "nan":
+        doc["xs"][-1]["data"][0][0] = float("nan")
+    elif fault == "mismatched_r":
+        doc["xs"][-1]["r"] = r + 1
+    elif fault == "mixed_sizes":
+        doc["xs"].append(mat(r + 1))
+    elif fault == "bool_r":
+        doc["xs"][0]["r"] = True
+    elif fault == "empty_xs":
+        doc["xs"] = []
+        depth = None
+    elif fault == "asymmetric":
+        doc["xs"] = [mat(r + 1) for _ in range(n)]
+        doc["xs"][0]["data"][0][r] += max(scale, 1.0)  # SymMatrix's 1e-9 * (1 + max|a|) rejects it
+    elif fault == "ys_length":
+        doc["ys"] = [mat(r) for _ in range(n + 1)]
+    elif fault == "not_in_cone":
+        doc["xs"][-1]["data"][0][0] = -scale
+    elif fault == "depth":
+        pick = depth_pick or 0
+        depth = -pick if pick % 2 else top + 1 + pick
+        code = 2
+    text = "[" * 100_000 if fault == "deep" else json.dumps(doc)
+    return text, [] if depth is None else ["--depth", str(depth)], code
+
+
+FAULTS = ["nan", "mismatched_r", "mixed_sizes", "bool_r", "empty_xs", "asymmetric",
+          "ys_length", "not_in_cone", "depth", "deep"]
+
+
+class TestMalformedInputFuzz:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(FAULTS),
+        st.integers(1, 3),
+        st.integers(1, 5),
+        st.sampled_from([1e-11, 1.0, 3.0, 1e200]),
+        st.sampled_from(["eval", "equiv"]),
+        st.none() | st.integers(0, 70),
+    )
+    def test_every_fault_exits_cleanly(self, fault, r, n, scale, command, depth_pick):
+        text, flags, code = fuzz_case(fault, r, n, scale, command, depth_pick)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "seq.json")
+            with open(path, "w") as fh:
+                fh.write(text)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = cli_main([command, path, *flags])
+        assert rc == code, err.getvalue()
+        assert err.getvalue().startswith("error: ")
+
+    def test_deep_nesting_is_a_value_error(self, tmp_path):
+        f = tmp_path / "deep.json"
+        f.write_text("[" * 100_000)
+        with pytest.raises(ValueError, match="nests too deeply"):
+            load_sequence(str(f))
 
 
 class TestLoadSequence:

@@ -273,6 +273,10 @@ class TestFrobNorm:
     def test_zero(self):
         assert frob_norm(zero(3)) == 0.0
 
+    def test_raw_array_matches_sum_of_squares_bit_for_bit(self, rng):
+        a = make_sym(4, rng).mat
+        assert frob_norm(a) == float(np.sqrt((a * a).sum()))
+
     def test_identity(self):
         assert frob_norm(identity(4).m) == 2.0
 
@@ -314,3 +318,66 @@ class TestJson:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             from_json_dict({"r": 2, "data": [[1.0]]})
+
+    @pytest.mark.parametrize(
+        "d",
+        [{"r": True, "data": [[1.0]]}, {"r": 1, "data": [[True]]}],
+        ids=["bool-size", "bool-entry"],
+    )
+    def test_json_booleans_rejected(self, d):
+        with pytest.raises(ValueError):
+            from_json_dict(d)
+
+
+SCALES = [1e-12, 1e-6, 1.0, 1e6, 1e100, 1e200]
+
+
+def scale_cases(r: int) -> list:
+    """(matrix, certified?) pairs whose verdicts sit far from the cone margin."""
+    g = np.random.default_rng(r)
+    q, _ = np.linalg.qr(g.normal(size=(r, r)))
+
+    def spread(*lams):
+        m = (q * np.array(lams + (1.0,) * (r - len(lams)))) @ q.T
+        return (m + m.T) / 2.0
+
+    return [
+        (make_spd(r, g).mat, True),
+        (spread(2.0, 1e-8), True),
+        (spread(2.0, 1e-12), False),
+        (spread(2.0, 0.0), False),
+        (spread(2.0, -1.0), False),
+    ]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestScale:
+    """Certification, inverses and norms behave the same at every scale."""
+
+    @pytest.mark.parametrize("s", SCALES)
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_cone_verdict_is_scale_free(self, s, r):
+        for a, certified in scale_cases(r):
+            x = SymMatrix(s * a)
+            assert (in_cone(x) is not None) == certified
+            if not certified:
+                with pytest.raises(ConeMembershipError, match="leaves the cone: smallest .*, norm"):
+                    cone(x, "scaled case")
+
+    @pytest.mark.parametrize("s", SCALES)
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_inverses_scale_inversely(self, s, r, rng):
+        a = make_spd(r, rng).mat + np.eye(r)
+        b = a - 2.0 * np.trace(a) / r * np.outer(np.eye(r)[0], np.eye(r)[0])
+        for inv, m in ((inv_cone_raw, a), (inv_sym_raw, b)):
+            want = inv(m, "unscaled")
+            got = s * inv(s * m, "scaled")
+            assert frob_norm(got - want) <= 1e-12 * frob_norm(want)
+
+    @pytest.mark.parametrize("s", [1e-200, *SCALES, 1e300])
+    def test_norms_are_finite_and_scale_covariant(self, s, rng):
+        a, b = make_sym(3, rng).mat, make_sym(3, rng).mat
+        n = frob_norm(s * a)
+        assert np.isfinite(n) and n == pytest.approx(s * frob_norm(a), rel=1e-15)
+        d, top = frob_norm(a - b), max(frob_norm(a), frob_norm(b))
+        assert rel_residual(s * a, s * b) == pytest.approx(s * d / (1.0 + s * top), rel=1e-14)

@@ -2,16 +2,16 @@
 
 Each module owns its private helpers: jordan the eigen work, division the
 triangular congruences, randmat the sampling, contfrac the tail-first
-kernel.  A sibling that needs one goes through a public name.
+kernel.  A sibling that needs one goes through a public name.  jordan also
+owns the certification policy: no other module names its tolerances.
 """
 
 import ast
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import conecf
+
+from helpers import run_cli_module
 
 PACKAGE = Path(conecf.__file__).resolve().parent
 
@@ -38,17 +38,32 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert offenders == {}
 
 
+POLICY_NAMES = {"CONE_TOL", "ASSERT_TOL", "_SINGULAR_TOL"}
+
+
+def policy_references(path: Path) -> set[str]:
+    """Certification tolerances named anywhere in a module: as a name, an attribute or an import."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found & POLICY_NAMES
+
+
+def test_only_jordan_names_the_certification_tolerances():
+    offenders = {
+        path.name: sorted(names)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "jordan.py" and (names := policy_references(path))
+    }
+    assert offenders == {}
+
+
 def test_module_entry_point_runs_without_runtime_warnings():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "conecf.cli", "--help"],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_cli_module("--help")
     assert proc.returncode == 0, proc.stderr
     assert "usage: conecf" in proc.stdout
