@@ -12,16 +12,26 @@ of x_{k+2}^{-1} equals the jump w_{k+1}^{-1} - w_k^{-1}.
 
 Evaluation conventions, applied throughout:
 
-* Convergents are evaluated tail first - the innermost level is computed
-  and the recursion unwinds outward.  No forward three-term recurrence is
-  used; the maps do not commute and none is defined here.
-* One kernel, ``_suffixes``, holds that backward recursion: in one pass it
-  returns every suffix value K_{i=j+1..n}(x_i / y_i), in the working
-  precision of its arrays.  The general evaluator, the trace, the unit
-  chain and its oracles, and the operator chains of F_k, u_k and Q_k all
-  read their brackets from it.  ``cf_ordinary`` alone keeps its own loop:
-  it is built from additions and inversions only, as the independent
-  oracle that ``cf_general`` is checked against.
+* Single convergents are evaluated tail first - the innermost level is
+  computed and the recursion unwinds outward.  One kernel, ``_suffixes``,
+  holds that backward recursion: in one pass it returns every suffix value
+  K_{i=j+1..n}(x_i / y_i), in the working precision of its arrays.  The
+  general evaluator, the unit chain and its oracles, and the operator
+  chains of F_k, u_k and Q_k all read their brackets from it.
+  ``cf_ordinary`` alone keeps its own loop: it is built from additions and
+  inversions only, as the independent oracle that ``cf_general`` is
+  checked against.
+* Traces run forward, once over the levels (``_differences``).  The level
+  map g_n(X) = l_n (y_n + X)^{-1} l_n^T is the linear-fractional map of
+  M_n = [[0, l_n], [l_n^{-T}, l_n^{-T} y_n]], and the convergents of a
+  prefix P_k = M_1 ... M_k = [[A, B], [C, D]] need only its bottom block
+  row.  Normalised as D^{-1} [C, D] = [T_k, e], that row obeys the
+  cone-valued recurrence T_k = (y_k + l_k^T T_{k-1} l_k)^{-1}, T_0 = 0,
+  and with G_k = D^{-1} = T_k l_k^T G_{k-1} the differences are
+  w_k = V^T T_{k+1} V, V = l_{k+1}^T G_k.  Nothing is subtracted, so w_k
+  keeps its relative precision long after consecutive convergents agree
+  to every digit; convergents are the partial sums
+  R_{k+1} = R_k + (-1)^k w_k.
 * Operator products are ordered lists of primitive maps applied right to
   left.  The adjoint of a product is the reversed list with each
   primitive replaced by its adjoint (plain <-> star, inv <-> star_inv,
@@ -34,12 +44,12 @@ Evaluation conventions, applied throughout:
 Single-shot evaluators enforce a hard depth cap of 64: at that depth the
 all-ones scalar chain is already converged to machine precision and the
 w_k underflow, so deeper identity evaluation is meaningless.  Long traces
-for convergence experiments go through ``trace_cf``, which has no cap
-(deltas just sit at the rounding floor once converged).
+for convergence experiments go through ``trace_cf``, which has no cap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -184,6 +194,20 @@ def _check_index(k: int, have: int, least: int = 1) -> None:
         raise ValueError(f"depth {k} exceeds the hard cap {DEPTH_CAP}")
 
 
+def _innermost(arrs, ls, ys, n: int) -> np.ndarray:
+    """g_n(0), the value of level n alone: x_n, or the inverse of star_inv(l_n, y_n).
+
+    The quotient is checked finite before it is certified, so an overflow
+    names its level instead of surfacing as an eigensolver failure.
+    """
+    if ys is None:
+        return arrs[n - 1]
+    quotient = _pi_raw(ls[n - 1], ys[n - 1], "star_inv")
+    if not np.isfinite(quotient).all():
+        raise ArithmeticError(f"innermost quotient at level {n} overflows")
+    return inv_cone_raw(quotient, f"innermost quotient (level {n})")
+
+
 def _suffixes(
     arrs: Sequence[np.ndarray],
     ls: Sequence[np.ndarray],
@@ -192,19 +216,14 @@ def _suffixes(
 ) -> list:
     """Every suffix value S[j] = K_{i=j+1..n}(x_i / y_i), j = 0..n-1, in one backward pass.
 
-    ``ls`` are the Cholesky factors of ``arrs``.  With ``ys is None`` every
-    denominator is the identity and the innermost level is x_n itself;
-    otherwise it is the inverse of star_inv(l_n, y_n).  Only the first n
-    entries are read, and the dtype of the arrays is kept, so the
-    extended-precision oracles run through the same recursion.
+    ``ls`` are the Cholesky factors of ``arrs``; ``ys is None`` means every
+    denominator is the identity.  The innermost level is ``_innermost``'s.
+    Only the first n entries are read, and the dtype of the arrays is
+    kept, so the extended-precision oracles run through the same recursion.
     """
+    acc = _innermost(arrs, ls, ys, n)
     if ys is None:
-        acc = arrs[n - 1]
         ys = [np.eye(acc.shape[0], dtype=acc.dtype)] * n
-    else:
-        acc = inv_cone_raw(
-            _pi_raw(ls[n - 1], ys[n - 1], "star_inv"), f"innermost quotient (level {n})"
-        )
     S: list = [None] * n
     S[n - 1] = acc
     for j in range(n - 2, -1, -1):
@@ -317,17 +336,15 @@ def w_seq(xs: Sequence[ConeElement], n: int) -> list[ConeElement]:
     it positive definite); a certification failure means the alternation
     was breached numerically and raises with diagnostics.  The telescoping
     partial-sum identity [x_1..x_n] = x_1 + sum_k (-1)^k w_k is asserted
-    to 1e-10 before returning.
+    to 1e-10 against the tail-first ``cf_general`` before returning.
     """
     if n < 2:
         raise ValueError("need n >= 2 to form a difference")
     _check_index(n, len(xs))
-    records = trace_cf(CFSequence(tuple(xs[:n])), n, with_cone_margins=False).records
+    seq = CFSequence(tuple(xs[:n]))
+    records = trace_cf(seq, n, with_cone_margins=False).records
     ws = [cone(rec.w, f"signed difference w_{rec.k}") for rec in records[:-1]]
-    total = xs[0].mat.copy()
-    for k, w in enumerate(ws, start=1):
-        total += (1.0 if k % 2 == 0 else -1.0) * w.mat
-    resid = rel_residual(total, records[-1].convergent)
+    resid = rel_residual(records[-1].convergent, cf_general(seq, n))
     if resid > 1e-10:
         raise ArithmeticError(
             f"partial-sum identity residual {resid:.3e} exceeds 1e-10 at n={n}"
@@ -516,32 +533,58 @@ def q_apply(xs: Sequence[ConeElement], k: int, v: ConeElement, adjoint: bool = F
 # ---------------------------------------------------------------------------
 
 
+def _differences(ls: Sequence[np.ndarray], ys: Optional[Sequence[np.ndarray]], depth: int) -> list:
+    """w_1 .. w_{depth-1} in one forward pass over the normalised transfer row [T_k, e].
+
+    T_k = (y_k + l_k^T T_{k-1} l_k)^{-1} is certified before each
+    inversion; G_k = T_k l_k^T G_{k-1} is kept as 2^-E times its value, with
+    its largest entry in [1/2, 1), so neither it nor w_k = 2^{2E} V^T T_{k+1} V,
+    V = l_{k+1}^T G_k, leaves the double range before w_k itself does.
+    """
+    r = ls[0].shape[0]
+    if ys is None:
+        ys = [np.eye(r)] * depth
+    t, g, exp2 = np.zeros((r, r)), np.eye(r), 0
+    ws = []
+    for k in range(1, depth + 1):
+        l = ls[k - 1]
+        t = inv_cone_raw(ys[k - 1] + l.T @ t @ l, f"transfer denominator at level {k}")
+        v = l.T @ g
+        g = t @ v
+        if k > 1:
+            ws.append(np.ldexp(v.T @ g, 2 * exp2))
+        e = math.frexp(float(np.abs(g).max()))[1]
+        g, exp2 = np.ldexp(g, -e), exp2 + e
+    return ws
+
+
 def trace_cf(seq: CFSequence, depth: int, with_cone_margins: bool = True) -> ConvergentTrace:
     """Convergents R_1..R_depth with forward differences, for analysis/export.
 
-    Uncapped in depth; each convergent is one backward pass, so the total
-    work is quadratic in ``depth``.  ``w`` records the signed difference
-    (-1)^{k+1}(R_k - R_{k+1}); for unit partial denominators it is a cone
-    element and ``w_min_eig`` reports its margin.
+    Uncapped in depth, and linear in it: one forward pass gives every
+    difference w_k = (-1)^{k+1}(R_k - R_{k+1}) without subtracting, and the
+    convergents are its partial sums from R_1, which is evaluated as
+    ``cf_general`` evaluates it.  For unit partial denominators w_k is a
+    cone element and ``w_min_eig`` reports its margin.
     """
     if not 1 <= depth <= len(seq.xs):
         raise ValueError(f"depth {depth} out of range [1, {len(seq.xs)}]")
     xs, ls, ys = _level_arrays(seq, depth)
-    head = seq.head.mat if seq.head is not None else None
-
-    convergents = []
-    for n in range(1, depth + 1):
-        acc = _suffixes(xs, ls, ys, n)[0]
-        convergents.append(acc if head is None else head + acc)
+    conv = _innermost(xs, ls, ys, 1)
+    if seq.head is not None:
+        conv = seq.head.mat + conv
+    ws = _differences(ls, ys, depth)
 
     records = []
     for k in range(1, depth + 1):
         w = delta = margin = None
         if k < depth:
-            diff = convergents[k - 1] - convergents[k]
-            w = SymMatrix((1.0 if k % 2 == 1 else -1.0) * diff)
-            delta = frob_norm(diff)
+            w = SymMatrix(ws[k - 1])
+            delta = frob_norm(w)
             margin = min_eig_raw(w.mat) if with_cone_margins else None
-        conv = SymMatrix(convergents[k - 1])
-        records.append(TraceRecord(k=k, convergent=conv, w=w, delta_norm=delta, w_min_eig=margin))
+        records.append(
+            TraceRecord(k=k, convergent=SymMatrix(conv), w=w, delta_norm=delta, w_min_eig=margin)
+        )
+        if w is not None:
+            conv = conv + (-1.0 if k % 2 == 1 else 1.0) * w.mat
     return ConvergentTrace(tuple(records))

@@ -96,7 +96,8 @@ class SymMatrix:
             raise ValueError(
                 f"matrix is not symmetric: max asymmetry {skew:.3e} at scale {scale:.3e}"
             )
-        a = (a + a.T) / 2.0
+        # halved before adding, so finite entries near the top of the range stay finite
+        a = a / 2.0 + a.T / 2.0
         a.flags.writeable = False
         object.__setattr__(self, "mat", a)
 

@@ -72,6 +72,14 @@ class TestEval:
         assert cli_main(["eval", str(f)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_overflowing_quotient_names_its_level(self, tmp_path):
+        m = lambda v: {"r": 3, "data": (v * np.eye(3)).tolist()}  # noqa: E731
+        f = tmp_path / "overflow.json"
+        f.write_text(json.dumps({"xs": [m(1e-300)] * 2, "ys": [m(1e300)] * 2}))
+        proc = run_cli_module("eval", str(f))
+        assert proc.returncode == 1
+        assert proc.stderr == "error: innermost quotient at level 1 overflows\n"
+
 
 class TestScale:
     @pytest.mark.parametrize("s", [1e200, 1e-11])

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -404,6 +405,101 @@ class TestTrace:
         xs = ones(70)
         trace = trace_cf(CFSequence(xs), 70)
         assert trace.records[-1].k == 70
+
+    def test_fibonacci_differences_past_the_rounding_floor(self):
+        # w_k = 1 / (F_{k+1} F_{k+2}) for the all-ones chain; at k = 60 that is
+        # 1e-25 while the convergents agree to every digit
+        fib = [1, 1]
+        while len(fib) < 80:
+            fib.append(fib[-1] + fib[-2])
+        trace = trace_cf(CFSequence(ones(70)), 70)
+        for rec in trace.records[:-1]:
+            exact = 1.0 / (fib[rec.k] * fib[rec.k + 1])
+            assert rec.w.mat[0, 0] == pytest.approx(exact, rel=1e-13)
+            assert rec.w_min_eig > 0.0
+
+    def test_overflowing_quotient_names_its_level(self):
+        big = cone(SymMatrix(1e300 * np.eye(3)))
+        tiny = cone(SymMatrix(1e-300 * np.eye(3)))
+        with pytest.raises(ArithmeticError, match="level 1 overflows"):
+            trace_cf(CFSequence((tiny, tiny), (big, big)), 2)
+        seq = CFSequence((identity(3), tiny), (identity(3), big))
+        with pytest.raises(ArithmeticError, match="level 2 overflows"):
+            cf_general(seq, 2)
+        # the trace never forms that quotient: R_2 = (e + 1e-600 e)^{-1} rounds to e
+        assert np.array_equal(trace_cf(seq, 2).records[1].convergent.mat, np.eye(3))
+
+
+def wishart_array(rng: np.random.Generator, r: int) -> np.ndarray:
+    """Wishart with 6 degrees of freedom and scale 1/2, drawn as the benchmark's seqfile-r3 draws it."""
+    a = rng.normal(0.0, np.sqrt(0.5), size=(r, 6))
+    x = a @ a.T
+    return (x + x.T) / 2.0
+
+
+def mp_differences(xs, ys, depth: int, dps: int = 60) -> list:
+    """Reference w_1..w_{depth-1}: tail-first convergents in ``dps`` digits, differenced."""
+    with mpmath.workdps(dps):
+        ls = [mpmath.cholesky(mpmath.matrix(x.tolist())) for x in xs[:depth]]
+        if ys is None:
+            ymat = [mpmath.eye(xs[0].shape[0])] * depth
+        else:
+            ymat = [mpmath.matrix(y.tolist()) for y in ys[:depth]]
+        convs = []
+        for n in range(1, depth + 1):
+            acc = ls[n - 1] * mpmath.inverse(ymat[n - 1]) * ls[n - 1].T
+            for j in range(n - 2, -1, -1):
+                acc = ls[j] * mpmath.inverse(ymat[j] + acc) * ls[j].T
+            convs.append(acc)
+        return [(convs[k - 1] - convs[k]) * (1 if k % 2 == 1 else -1) for k in range(1, depth)]
+
+
+class TestTraceAccuracy:
+    @pytest.mark.parametrize("general", [False, True], ids=["unit", "general"])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_differences_match_a_60_digit_reference(self, r, general):
+        rng = np.random.default_rng(40 + r)
+        depth = 60
+        xs = [wishart_array(rng, r) for _ in range(depth)]
+        ys = [wishart_array(rng, r) for _ in range(depth)] if general else None
+        seq = CFSequence(
+            tuple(cone(SymMatrix(x)) for x in xs),
+            None if ys is None else tuple(cone(SymMatrix(y)) for y in ys),
+        )
+        refs = mp_differences(xs, ys, depth)
+        trace = trace_cf(seq, depth)
+        with mpmath.workdps(60):
+            for rec, ref in zip(trace.records, refs):
+                err = mpmath.mnorm(mpmath.matrix(rec.w.mat.tolist()) - ref, "f") / mpmath.mnorm(ref, "f")
+                assert err < 1e-8, (rec.k, float(err))
+
+    def test_seqfile_case_where_the_unnormalised_row_block_is_singular(self):
+        # seqfile-r3's file at seed 101, batch 68: head, then 64 xs, then 64 ys
+        rng = np.random.default_rng(101 * 100_000 + 68)
+        head = wishart_array(rng, 3)
+        xs = [wishart_array(rng, 3) for _ in range(64)]
+        ys = [wishart_array(rng, 3) for _ in range(64)]
+
+        # the bottom row [C, D] of M_1 ... M_k, rescaled by powers of two only,
+        # loses its rank in double precision
+        c, d, worst = np.zeros((3, 3)), np.eye(3), 0.0
+        for x, y in zip(xs, ys):
+            l = np.linalg.cholesky(x)
+            lit = np.linalg.inv(l).T
+            row = np.hstack([d @ lit, c @ l + d @ lit @ y])
+            row = np.ldexp(row, -np.frexp(np.abs(row).max())[1])
+            worst = max(worst, np.linalg.cond(row))
+            c, d = row[:, :3], row[:, 3:]
+        assert worst > 1e15
+
+        seq = CFSequence(
+            tuple(cone(SymMatrix(x)) for x in xs),
+            tuple(cone(SymMatrix(y)) for y in ys),
+            cone(SymMatrix(head)),
+        )
+        trace = trace_cf(seq, 64)
+        for rec in trace.records:
+            assert rel_residual(rec.convergent, cf_general(seq, rec.k)) <= 1e-9, rec.k
 
 
 class TestTypes:

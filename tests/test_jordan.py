@@ -302,6 +302,12 @@ class TestSymMatrixConstruction:
         with pytest.raises(ValueError, match="finite"):
             SymMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_entries_near_the_top_of_the_range_stay_finite(self):
+        m = SymMatrix(1.5e308 * np.eye(2))
+        assert np.isfinite(m.mat).all()
+        assert m.mat[0, 0] == 1.5e308
+
     def test_stored_array_read_only(self):
         m = identity(2).m
         with pytest.raises(ValueError):
