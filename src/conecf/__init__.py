@@ -37,6 +37,7 @@ from .contfrac import (
     q_apply,
     to_ordinary,
     trace_cf,
+    trace_differences,
     u_vec,
     w_seq,
 )

@@ -128,11 +128,10 @@ def _cmd_sample(args) -> int:
         raise UsageError(f"--n must be at least 1, got {args.n}")
     rng = RngStream(args.seed)
     if args.dist == "beta2":
-        params = Beta2Params(args.p, args.q, args.rank)
-        draws = [sample_beta2(params, rng) for _ in range(args.n)]
+        draws = sample_beta2(Beta2Params(args.p, args.q, args.rank), rng, n=args.n)
         header = {"dist": "beta2", "p": args.p, "q": args.q}
     else:
-        draws = [sample_wishart(args.s, args.rank, rng) for _ in range(args.n)]
+        draws = sample_wishart(args.s, args.rank, rng, n=args.n)
         header = {"dist": "wishart", "p": args.s, "q": None}
     doc = dict(header)
     doc.update({"r": args.rank, "seed": args.seed, "n": args.n})

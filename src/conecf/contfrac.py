@@ -21,7 +21,9 @@ Evaluation conventions, applied throughout:
   ``cf_ordinary`` alone keeps its own loop: it is built from additions and
   inversions only, as the independent oracle that ``cf_general`` is
   checked against.
-* Traces run forward, once over the levels (``_differences``).  The level
+* Traces run forward, once over the levels, for a whole stack of
+  sequences at once (``_differences``; ``trace_cf`` is its one-sequence
+  case and ``trace_differences`` its stacked entry point).  The level
   map g_n(X) = l_n (y_n + X)^{-1} l_n^T is the linear-fractional map of
   M_n = [[0, l_n], [l_n^{-T}, l_n^{-T} y_n]], and the convergents of a
   prefix P_k = M_1 ... M_k = [[A, B], [C, D]] need only its bottom block
@@ -49,7 +51,6 @@ for convergence experiments go through ``trace_cf``, which has no cap.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -85,6 +86,7 @@ __all__ = [
     "u_vec",
     "q_apply",
     "trace_cf",
+    "trace_differences",
 ]
 
 DEPTH_CAP = 64
@@ -299,7 +301,8 @@ def to_ordinary(seq: CFSequence) -> list[SymMatrix]:
     x_1, ..., x_m to y_m: position i carries star_inv when i and m have
     equal parity and plain otherwise, so the innermost factor is always
     the star_inv of x_m.  The binding contract is the convergent-by-
-    convergent agreement with ``cf_general``.
+    convergent agreement with ``cf_general``.  A term that leaves the
+    double range raises ArithmeticError naming the term and the level.
     """
     n = len(seq.xs)
     _check_index(n, n)
@@ -313,6 +316,8 @@ def to_ordinary(seq: CFSequence) -> list[SymMatrix]:
         for i in range(m, 0, -1):
             mode = "star_inv" if (i - m) % 2 == 0 else "plain"
             v = _pi_raw(ls[i - 1], v, mode)
+        if not np.isfinite(v).all():
+            raise ArithmeticError(f"ordinary term a_{m} at level {m} overflows")
         out.append(SymMatrix(v))
     return out
 
@@ -342,7 +347,7 @@ def w_seq(xs: Sequence[ConeElement], n: int) -> list[ConeElement]:
         raise ValueError("need n >= 2 to form a difference")
     _check_index(n, len(xs))
     seq = CFSequence(tuple(xs[:n]))
-    records = trace_cf(seq, n, with_cone_margins=False).records
+    records = trace_cf(seq, n).records
     ws = [cone(rec.w, f"signed difference w_{rec.k}") for rec in records[:-1]]
     resid = rel_residual(records[-1].convergent, cf_general(seq, n))
     if resid > 1e-10:
@@ -533,55 +538,87 @@ def q_apply(xs: Sequence[ConeElement], k: int, v: ConeElement, adjoint: bool = F
 # ---------------------------------------------------------------------------
 
 
-def _differences(ls: Sequence[np.ndarray], ys: Optional[Sequence[np.ndarray]], depth: int) -> list:
-    """w_1 .. w_{depth-1} in one forward pass over the normalised transfer row [T_k, e].
+def _differences(ls: np.ndarray, ys: Optional[np.ndarray]) -> np.ndarray:
+    """w_1 .. w_{depth-1} of every sequence of a stack, in one forward pass over the levels.
 
+    ``ls`` holds the Cholesky factors of the numerators as a
+    ``(trials, depth, r, r)`` stack and ``ys`` the denominators in the same
+    shape (None for unit denominators).  The normalised transfer row
+    [T_k, e] of every trial advances together:
     T_k = (y_k + l_k^T T_{k-1} l_k)^{-1} is certified before each
-    inversion; G_k = T_k l_k^T G_{k-1} is kept as 2^-E times its value, with
-    its largest entry in [1/2, 1), so neither it nor w_k = 2^{2E} V^T T_{k+1} V,
-    V = l_{k+1}^T G_k, leaves the double range before w_k itself does.
+    inversion, the error naming the level (and the trial's stack index);
+    G_k = T_k l_k^T G_{k-1} is kept as 2^-E times its value, with E per
+    trial and the largest entry in [1/2, 1), so neither it nor
+    w_k = 2^{2E} V^T T_{k+1} V, V = l_{k+1}^T G_k, leaves the double range
+    before w_k itself does.  Every operation acts on each trial's slice
+    alone, so a trial's w_k do not depend on the rest of the stack.  The
+    result is symmetrized as SymMatrix symmetrizes.
     """
-    r = ls[0].shape[0]
-    if ys is None:
-        ys = [np.eye(r)] * depth
-    t, g, exp2 = np.zeros((r, r)), np.eye(r), 0
-    ws = []
+    trials, depth, r, _ = ls.shape
+    lts = ls.swapaxes(-1, -2)
+    eye = np.eye(r)
+    t, g = np.zeros((trials, r, r)), np.broadcast_to(eye, (trials, r, r))
+    exp2 = np.zeros((trials, 1, 1), dtype=int)
+    ws = np.empty((trials, depth - 1, r, r))
     for k in range(1, depth + 1):
-        l = ls[k - 1]
-        t = inv_cone_raw(ys[k - 1] + l.T @ t @ l, f"transfer denominator at level {k}")
-        v = l.T @ g
+        y = eye if ys is None else ys[:, k - 1]
+        t = inv_cone_raw(y + lts[:, k - 1] @ t @ ls[:, k - 1], f"transfer denominator at level {k}")
+        v = lts[:, k - 1] @ g
         g = t @ v
         if k > 1:
-            ws.append(np.ldexp(v.T @ g, 2 * exp2))
-        e = math.frexp(float(np.abs(g).max()))[1]
-        g, exp2 = np.ldexp(g, -e), exp2 + e
-    return ws
+            np.ldexp(v.swapaxes(-1, -2) @ g, 2 * exp2, out=ws[:, k - 2])
+        e = np.frexp(np.abs(g).max(axis=(-2, -1), keepdims=True))[1]
+        g = np.ldexp(g, -e)
+        exp2 += e
+    return ws / 2.0 + ws.swapaxes(-1, -2) / 2.0
 
 
-def trace_cf(seq: CFSequence, depth: int, with_cone_margins: bool = True) -> ConvergentTrace:
+def trace_differences(xs: np.ndarray, ys: Optional[np.ndarray] = None) -> np.ndarray:
+    """The differences w_1 .. w_{depth-1} of a whole stack of continued fractions at once.
+
+    ``xs`` is a ``(trials, depth, r, r)`` array of positive definite partial
+    numerators (certified, as the samplers draw them) and ``ys`` the partial
+    denominators in the same shape, or None for unit denominators.  Returns
+    the ``(trials, depth - 1, r, r)`` array of w_k = (-1)^{k+1}(R_k - R_{k+1})
+    from the forward pass ``trace_cf`` makes for one sequence, bit for bit
+    the same for every trial whatever the rest of the stack holds.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 4 or xs.shape[-1] != xs.shape[-2] or xs.shape[1] < 2:
+        raise ValueError(f"expected a (trials, depth >= 2, r, r) stack, got shape {xs.shape}")
+    if ys is not None:
+        ys = np.asarray(ys, dtype=float)
+        if ys.shape != xs.shape:
+            raise ValueError(f"denominators of shape {ys.shape} do not match numerators {xs.shape}")
+    return _differences(_chol_raw(xs), ys)
+
+
+def trace_cf(seq: CFSequence, depth: int) -> ConvergentTrace:
     """Convergents R_1..R_depth with forward differences, for analysis/export.
 
-    Uncapped in depth, and linear in it: one forward pass gives every
-    difference w_k = (-1)^{k+1}(R_k - R_{k+1}) without subtracting, and the
+    Uncapped in depth, and linear in it: one forward pass (the one-sequence
+    case of ``trace_differences``) gives every difference
+    w_k = (-1)^{k+1}(R_k - R_{k+1}) without subtracting, and the
     convergents are its partial sums from R_1, which is evaluated as
     ``cf_general`` evaluates it.  For unit partial denominators w_k is a
     cone element and ``w_min_eig`` reports its margin.
     """
     if not 1 <= depth <= len(seq.xs):
         raise ValueError(f"depth {depth} out of range [1, {len(seq.xs)}]")
-    xs, ls, ys = _level_arrays(seq, depth)
+    xs = np.stack([x.mat for x in seq.xs[:depth]])
+    ys = np.stack([y.mat for y in seq.ys[:depth]]) if seq.ys is not None else None
+    ls = _chol_raw(xs)
     conv = _innermost(xs, ls, ys, 1)
     if seq.head is not None:
         conv = seq.head.mat + conv
-    ws = _differences(ls, ys, depth)
+    ws = _differences(ls[None], None if ys is None else ys[None])[0]
+    deltas, margins = frob_norm(ws).tolist(), min_eig_raw(ws).tolist()
 
     records = []
     for k in range(1, depth + 1):
         w = delta = margin = None
         if k < depth:
-            w = SymMatrix(ws[k - 1])
-            delta = frob_norm(w)
-            margin = min_eig_raw(w.mat) if with_cone_margins else None
+            w, delta, margin = SymMatrix(ws[k - 1]), deltas[k - 1], margins[k - 1]
         records.append(
             TraceRecord(k=k, convergent=SymMatrix(conv), w=w, delta_norm=delta, w_min_eig=margin)
         )

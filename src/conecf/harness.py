@@ -13,10 +13,16 @@ fractions and medians rather than per-trial guarantees.
 modules on randomized inputs at scale and reports the worst residual per
 identity.
 
-Determinism: all randomness flows from one master seed through
-``split_stream(trial_id)``; trials run in trial order and output
-formatting is fixed, so equal configurations produce byte-identical
-artifacts.
+Determinism: all randomness flows from one master seed.  In the
+experiment, trial t draws from ``split_stream(master, t)`` alone, its
+odd-indexed numerators as one batch and then its even-indexed ones as
+another (one batch at period 1); the whole experiment is then traced and
+certified as one ``(trials, depth, r, r)`` stack whose every step acts on
+each trial by itself.  So a trial's rows depend only on (seed, trial_id),
+not on how many trials run, and with fixed output formatting equal
+configurations produce byte-identical artifacts.  The identity suite
+draws each identity's cases from ``split_stream(master, i)``, one at a
+time.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from .contfrac import (
     jump_direct,
     q_apply,
     to_ordinary,
-    trace_cf,
+    trace_differences,
     u_vec,
     w_seq,
 )
@@ -50,9 +56,9 @@ from .jordan import (
     cone,
     eigenvalues_dominate,
     frob_norm,
-    identity,
     in_cone,
     inverse,
+    min_eig_raw,
     quad_rep_apply,
     rel_residual,
 )
@@ -125,48 +131,27 @@ class TrialResult:
     monotonicity_violations: int
 
 
-def _draw_inputs(cfg: ExperimentConfig, stream: RngStream) -> list[ConeElement]:
+def _draw_inputs(cfg: ExperimentConfig, master: RngStream) -> np.ndarray:
+    """The ``(trials, depth, r, r)`` stack of partial numerators of the whole experiment.
+
+    Trial t draws from ``split_stream(master, t)`` alone: one batched draw
+    of its odd-indexed numerators (x_1, x_3, ...) from the first shape pair,
+    then one of its even-indexed ones from the second (period 2), or one
+    block of all of them (period 1).  So a trial's inputs depend only on
+    (seed, trial_id), never on how many trials share the experiment.
+    """
+    r, depth = cfg.rank, cfg.depth
     if cfg.law == "identity":
-        return [identity(cfg.rank)] * cfg.depth
-    pairs = cfg.shape_pairs()
-    params = [Beta2Params(p, q, cfg.rank) for p, q in pairs]
-    return [sample_beta2(params[(i - 1) % cfg.period], stream) for i in range(1, cfg.depth + 1)]
-
-
-def _run_trial(cfg: ExperimentConfig, trial_id: int, master: RngStream):
-    stream = split_stream(master, trial_id)
-    xs = _draw_inputs(cfg, stream)
-    trace = trace_cf(CFSequence(tuple(xs)), cfg.depth)
-
-    deltas = [rec.delta_norm for rec in trace.records[:-1]]
-    margins = [rec.w_min_eig for rec in trace.records[:-1]]
-    ws = [rec.w.mat for rec in trace.records[:-1]]
-
-    violations = 0
-    worst = 0.0
-    for k in range(len(ws) - 1):
-        mn, breach = closed_cone_test(ws[k] - ws[k + 1])
-        worst = max(worst, -mn)
-        violations += breach
-
-    first_cauchy: Optional[int] = None
-    for k in range(len(deltas), 0, -1):
-        if deltas[k - 1] < cfg.cauchy_eps:
-            first_cauchy = k
-        else:
-            break
-    result = TrialResult(
-        trial_id=trial_id,
-        converged=first_cauchy is not None,
-        first_cauchy_k=first_cauchy,
-        final_delta=deltas[-1],
-        monotonicity_violations=violations,
-    )
-    rows = []
-    for k, (delta, margin) in enumerate(zip(deltas, margins), start=1):
-        so_far = first_cauchy is not None and k >= first_cauchy
-        rows.append(f"{trial_id},{k},{delta!r},{margin!r},{'true' if so_far else 'false'}")
-    return result, rows, deltas, worst
+        return np.broadcast_to(np.eye(r), (cfg.trials, depth, r, r))
+    params = [Beta2Params(p, q, r) for p, q in cfg.shape_pairs()]
+    xs = np.empty((cfg.trials, depth, r, r))
+    for trial_id in range(cfg.trials):
+        stream = split_stream(master, trial_id)
+        for residue, prm in enumerate(params):
+            xs[trial_id, residue::cfg.period] = sample_beta2(
+                prm, stream, n=len(range(residue, depth, cfg.period))
+            )
+    return xs
 
 
 def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
@@ -175,26 +160,39 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
     CSV columns: ``trial,k,delta_norm,wk_min_eig,converged_so_far`` with one
     data row per (trial, k), k = 1..depth-1.  ``converged_so_far`` marks
     the converged tail (k at or past the trial's first Cauchy index).
+
+    All trials run as one stack: one forward trace over every trial, one
+    stacked eigen call for the margins and one for the monotonicity test
+    of consecutive differences.  Each of these acts on every trial's
+    slices alone, so a trial's rows do not depend on the other trials.
     """
-    master = RngStream(cfg.seed)
+    ws = trace_differences(_draw_inputs(cfg, RngStream(cfg.seed)))
+    deltas = frob_norm(ws)
+    margins = min_eig_raw(ws)
+    mono_min, breaches = closed_cone_test(ws[:, :-1] - ws[:, 1:])
+    # the converged tail: k from which every later delta is below eps
+    tail = np.logical_and.accumulate(deltas[:, ::-1] < cfg.cauchy_eps, axis=1)[:, ::-1]
+
     results: list[TrialResult] = []
     all_rows: list[str] = []
-    delta_matrix: list[list[float]] = []
-    worst_violation = 0.0
-    for trial_id in range(cfg.trials):
-        result, rows, deltas, worst = _run_trial(cfg, trial_id, master)
-        results.append(result)
-        all_rows.extend(rows)
-        delta_matrix.append(deltas)
-        worst_violation = max(worst_violation, worst)
+    per_trial = zip(deltas.tolist(), margins.tolist(), tail.tolist(), breaches.sum(axis=1).tolist())
+    for trial_id, (drow, mrow, trow, violations) in enumerate(per_trial):
+        first_cauchy = cfg.depth - sum(trow) if trow[-1] else None
+        results.append(
+            TrialResult(
+                trial_id=trial_id,
+                converged=first_cauchy is not None,
+                first_cauchy_k=first_cauchy,
+                final_delta=drow[-1],
+                monotonicity_violations=violations,
+            )
+        )
+        for k, (delta, margin, so_far) in enumerate(zip(drow, mrow, trow), start=1):
+            all_rows.append(f"{trial_id},{k},{delta!r},{margin!r},{'true' if so_far else 'false'}")
 
     converged = [res for res in results if res.converged]
     firsts = sorted(res.first_cauchy_k for res in converged)
     median_first = float(statistics.median(firsts)) if firsts else None
-    median_delta_by_k = [
-        float(np.median([row[k] for row in delta_matrix]))
-        for k in range(cfg.depth - 1)
-    ]
 
     summary = {
         "schema": SUMMARY_SCHEMA,
@@ -210,8 +208,8 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
         "trials_converged": len(converged),
         "median_first_cauchy_k": median_first,
         "monotonicity_violations": sum(res.monotonicity_violations for res in results),
-        "max_monotonicity_violation": worst_violation,
-        "median_delta_by_k": median_delta_by_k,
+        "max_monotonicity_violation": max(0.0, -float(np.min(mono_min))),
+        "median_delta_by_k": np.median(deltas, axis=0).tolist(),
     }
     if cfg.out_path is not None:
         with open(cfg.out_path, "w", newline="\n") as fh:

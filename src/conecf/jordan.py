@@ -11,6 +11,11 @@ LAPACK at rank >= 3.  The extended-precision oracles need ``np.longdouble``
 only for their inverses, so ``inv_cone_raw``/``inv_sym_raw`` refine the
 double-precision inverse of a longdouble array with two Newton steps in
 longdouble.
+
+The raw-array primitives (``_jacobi``, ``inv_cone_raw``, ``min_eig_raw``,
+``frob_norm``, ``open_cone_test``, ``closed_cone_test``) take one matrix
+or a ``(..., r, r)`` stack, and treat each matrix of a stack exactly as
+they treat it alone, so whole experiments certify in one call.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ __all__ = [
     "closed_cone_test",
     "eigenvalues_dominate",
     "min_eig_raw",
+    "open_cone_test",
     "inv_cone_raw",
     "inv_sym_raw",
     "frob_norm",
@@ -58,7 +64,7 @@ ASSERT_TOL = 1e-8   # closed-cone margin, -ASSERT_TOL * (1 + ||d||); see closed_
 _SYM_REJECT_TOL = 1e-9
 # Inverting a symmetric matrix fails when min |eigenvalue| <= _SINGULAR_TOL * max |eigenvalue|.
 _SINGULAR_TOL = 1e-13
-_LONGDOUBLE = np.dtype(np.longdouble)
+_FLOAT64, _LONGDOUBLE = np.dtype(np.float64), np.dtype(np.longdouble)
 
 
 class ConeMembershipError(ValueError):
@@ -183,34 +189,44 @@ def quad_rep_apply(x: SymMatrix, y: SymMatrix) -> SymMatrix:
 
 
 def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a symmetric matrix; the package's one eigen entry point.
+    """Eigenpairs of a symmetric matrix, or of each in a ``(..., r, r)`` stack.
 
-    Rank 1 and 2 use closed forms (one rotation diagonalizes a 2x2 exactly)
-    in the input's dtype (double for anything but longdouble).  Rank >= 3
-    goes to LAPACK (``np.linalg.eigh``) on the double-precision cast, so
-    ``np.longdouble`` input gets double eigenpairs there; the inverse
-    helpers refine those back to longdouble.  Returns the raw eigenvalue
-    vector (in no promised order) and the orthogonal column basis.  Raises
-    EigenConvergenceError when the solver fails or an eigenvalue is not
-    finite.
+    The package's one eigen entry point.  Rank 1 and 2 use closed forms
+    (one rotation diagonalizes a 2x2 exactly), evaluated elementwise over
+    the stack in the input's dtype (double for anything but longdouble).
+    Rank >= 3 goes to LAPACK (``np.linalg.eigh``) on the double-precision
+    cast, so ``np.longdouble`` input gets double eigenpairs there; the
+    inverse helpers refine those back to longdouble.  Returns the raw
+    eigenvalues along the last axis (in no promised order) and the
+    orthogonal column bases.  Raises EigenConvergenceError when the solver
+    fails or an eigenvalue is not finite.
     """
-    n = a.shape[0]
-    dtype = a.dtype if a.dtype in (np.dtype(np.float64), np.dtype(np.longdouble)) else np.dtype(np.float64)
+    n = a.shape[-1]
+    if a.dtype not in (_FLOAT64, _LONGDOUBLE):
+        a = a.astype(np.float64)
     if n == 1:
-        return np.array([a[0, 0]], dtype=dtype), np.ones((1, 1), dtype=dtype)
+        return a[..., 0].copy(), np.ones_like(a)
     if n == 2:
-        # one rotation diagonalizes a 2x2 exactly
-        app, apq, aqq = dtype.type(a[0, 0]), dtype.type(a[0, 1]), dtype.type(a[1, 1])
-        if apq == 0.0:
-            return np.array([app, aqq], dtype=dtype), np.eye(2, dtype=dtype)
-        theta = (aqq - app) / (2.0 * apq)
+        # one matrix (also a one-slot stack) is read as numpy scalars, whose
+        # arithmetic costs a fraction of that on one-element arrays
+        m = a.reshape(2, 2) if a.size == 4 else a
+        app, apq, aqq = m[..., 0, 0][()], m[..., 0, 1][()], m[..., 1, 1][()]
+        # a zero off-diagonal entry is already diagonal: theta is zeroed
+        # there and its divisor made one, so t = 0 and the basis is exactly e
+        nz, zero = apq != 0.0, apq == 0.0
+        theta = (aqq - app) * nz / (2.0 * apq + zero)
         t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
-        if theta < 0.0:
-            t = -t
+        # t takes the sign of theta (t - 2t = -t exactly); -0.0 counts as positive
+        t = (t - 2.0 * t * (theta < 0.0)) * nz
         c = 1.0 / np.sqrt(t * t + 1.0)
         s = t * c
-        vals = np.array([app - t * apq, aqq + t * apq], dtype=dtype)
-        vecs = np.array([[c, s], [-s, c]], dtype=dtype)
+        vals = np.empty(a.shape[:-1], dtype=a.dtype)
+        vals[..., 0] = app - t * apq
+        vals[..., 1] = aqq + t * apq
+        vecs = np.empty_like(a)
+        vecs[..., 0, 0] = vecs[..., 1, 1] = c
+        vecs[..., 0, 1] = s
+        vecs[..., 1, 0] = 0.0 - s
         return vals, vecs
     try:
         w, v = np.linalg.eigh(a.astype(np.float64, copy=False))
@@ -221,6 +237,11 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(w).all():
         raise EigenConvergenceError("eigensolver returned a non-finite eigenvalue")
     return w, v
+
+
+def _scalar(x):
+    """A 0-d result as a Python float (numpy 2 reprs its scalars as ``np.float64(...)``)."""
+    return float(x) if x.ndim == 0 else x
 
 
 def spectral_decomposition(x: SymMatrix) -> Spectrum:
@@ -246,25 +267,60 @@ def inverse(x: ConeElement) -> ConeElement:
     return power(x, -1.0)
 
 
-def min_eig_raw(a: np.ndarray) -> float:
-    """Smallest eigenvalue of a raw symmetric array."""
-    w, _ = _jacobi(a)
-    return float(w.min())
+def min_eig_raw(a: np.ndarray):
+    """Smallest eigenvalue of a raw symmetric array, or of each in a ``(..., r, r)`` stack."""
+    return _scalar(np.minimum.reduce(_jacobi(a)[0], axis=-1))
+
+
+def _open_cone(w: np.ndarray) -> list:
+    """(smallest eigenvalue, ||x|| = hypot(w), clears CONE_TOL * ||x||) of every matrix, flat.
+
+    The policy arithmetic runs per matrix on Python floats: on the small
+    stacks certified here that costs less than two numpy reductions, and
+    ``math.hypot`` cannot overflow.
+    """
+    out = []
+    for lam in w.reshape(-1, w.shape[-1]).tolist():
+        mn, norm = min(lam), math.hypot(*lam)
+        out.append((mn, norm, mn > CONE_TOL * norm))
+    return out
 
 
 def _open_cone_min(w: np.ndarray, what: str) -> float:
-    """The smallest eigenvalue of ``what`` if it clears CONE_TOL * ||x||, with ||x|| = hypot(w)."""
-    lam = w.tolist()
-    mn, norm = min(lam), math.hypot(*lam)
-    if not mn > CONE_TOL * norm:
-        raise ConeMembershipError(
-            f"{what} leaves the cone: smallest eigenvalue {mn:.3e}, norm {norm:.3e}"
-        )
-    return float(mn)
+    """The smallest eigenvalue of the first matrix of ``what``, if every matrix clears the margin.
+
+    For a stack the error names the index of the first matrix that fails.
+    """
+    verdicts = _open_cone(w)
+    for i, (mn, norm, ok) in enumerate(verdicts):
+        if not ok:
+            index = tuple(int(j) for j in np.unravel_index(i, w.shape[:-1]))
+            where = f" (stack index {index})" if w.ndim > 1 else ""
+            raise ConeMembershipError(
+                f"{what}{where} leaves the cone: smallest eigenvalue {mn:.3e}, norm {norm:.3e}"
+            )
+    return float(verdicts[0][0])
+
+
+def open_cone_test(a: np.ndarray):
+    """Smallest eigenvalue of a raw array, and whether it clears the open-cone margin.
+
+    The margin is ``in_cone``'s, CONE_TOL * ||x||.  A ``(..., r, r)`` stack
+    gives an array of each.
+    """
+    w = _jacobi(a)[0]
+    mn, _, ok = zip(*_open_cone(w))
+    if w.ndim == 1:
+        return float(mn[0]), ok[0]
+    return np.array(mn).reshape(w.shape[:-1]), np.array(ok).reshape(w.shape[:-1])
 
 
 def inv_cone_raw(a: np.ndarray, what: str) -> np.ndarray:
-    """Inverse of a raw array that must clear the open-cone margin; ``what`` names it."""
+    """Inverse of a raw array (or of each in a stack) that must clear the open-cone margin.
+
+    ``what`` names the array in the error; for a stack the error also gives
+    the index of the first slot that fails.
+    """
     w, v = _jacobi(a)
     _open_cone_min(w, what)
     return _inverse_from(a, w, v)
@@ -288,30 +344,30 @@ def _inverse_from(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
     stay far below that at every scale: the relative cone margin caps it
     at 1e10 and the relative ``_SINGULAR_TOL`` test at 1e13.
     """
-    inv = (v / w) @ v.T
-    inv = (inv + inv.T) / 2.0
+    inv = (v / w[..., None, :]) @ v.swapaxes(-1, -2)
+    inv = (inv + inv.swapaxes(-1, -2)) / 2.0
     if a.dtype == _LONGDOUBLE and w.dtype != _LONGDOUBLE:
         inv = inv.astype(a.dtype)
-        eye = np.eye(a.shape[0], dtype=a.dtype)
+        eye = np.eye(a.shape[-1], dtype=a.dtype)
         for _ in range(2):
             step = inv @ (eye - a @ inv)
-            inv = inv + (step + step.T) / 2.0
+            inv = inv + (step + step.swapaxes(-1, -2)) / 2.0
     return inv
 
 
-def frob_norm(x) -> float:
+def frob_norm(x):
     """sqrt(trace(x^2)) of a SymMatrix, ConeElement or raw array, at any scale.
 
-    Where squaring the entries can neither overflow nor underflow this is
-    exactly sqrt((a*a).sum()); elsewhere the entries are first scaled by a
-    power of two, which is exact, so no RuntimeWarning is raised.
+    A ``(..., r, r)`` stack gives an array of norms.  Each matrix is scaled
+    by the power of two that brings its largest entry into [1/2, 1), which
+    is exact, so no RuntimeWarning is raised and, wherever squaring the
+    entries could neither overflow nor underflow, the result is bit for bit
+    sqrt((a*a).sum()).
     """
     a = _mat_of(x)
-    big = float(np.abs(a).max(initial=0.0))
-    # with the largest entry in [2^-480, 2^480], up to 2^60 squares sum safely
-    e = math.frexp(big)[1] if 0.0 < big < 2.0**-480 or 2.0**480 < big < math.inf else 0
-    b = np.ldexp(a, -e) if e else a
-    return math.ldexp(float(np.sqrt((b * b).sum())), e)
+    e = np.frexp(np.maximum.reduce(np.abs(a), axis=(-2, -1)))[1]
+    b = np.ldexp(a, -e[..., None, None])
+    return _scalar(np.ldexp(np.sqrt(np.add.reduce(b * b, axis=(-2, -1))), e))
 
 
 def in_cone(x: SymMatrix) -> Optional[ConeElement]:
@@ -338,10 +394,11 @@ def cone_less(x: SymMatrix, y: SymMatrix) -> bool:
     return in_cone(SymMatrix(y.mat - x.mat)) is not None
 
 
-def closed_cone_test(d: np.ndarray) -> tuple[float, bool]:
+def closed_cone_test(d: np.ndarray):
     """Smallest eigenvalue of d, and whether it is below -ASSERT_TOL * (1 + ||d||).
 
-    The margin is absolute below norm one on purpose: consecutive w_k of a
+    Takes one matrix or a ``(..., r, r)`` stack, which gives arrays.  The
+    margin is absolute below norm one on purpose: consecutive w_k of a
     converged tail differ by rounding noise near zero, which a relative
     margin would count as breaches of the closed cone.
     """

@@ -199,6 +199,15 @@ class TestEquiv:
         assert cli_main(["equiv", str(f)]) == 0
         assert "depths 1..64" in capsys.readouterr().out
 
+    def test_overflowing_ordinary_term_names_its_level(self, tmp_path):
+        # a_1 = star_inv of 1e-300 e applied to 1e300 e is 1e600 e
+        m = lambda v: {"r": 3, "data": (v * np.eye(3)).tolist()}  # noqa: E731
+        f = tmp_path / "overflow.json"
+        f.write_text(json.dumps({"xs": [m(1e-300)] * 2, "ys": [m(1e300)] * 2}))
+        proc = run_cli_module("equiv", str(f))
+        assert proc.returncode == 1
+        assert proc.stderr == "error: ordinary term a_1 at level 1 overflows\n"
+
 
 class TestIdentities:
     def test_rank_one_passes(self, capsys):
@@ -241,6 +250,28 @@ class TestMc:
     def test_bad_shapes_fail(self, capsys):
         assert cli_main(["mc", "--rank", "3", "--b", "0.5", "--trials", "2",
                          "--depth", "10", "--seed", "0"]) == 1
+
+    def test_trial_rows_do_not_depend_on_the_trial_count(self, tmp_path, capsys):
+        # trial t draws from its own stream and every stacked step acts on
+        # each trial alone, so its rows are the same whoever shares the stack
+        rows = {}
+        for trials in (5, 100):
+            out = tmp_path / f"t{trials}.csv"
+            assert cli_main(["mc", "--rank", "2", "--b", "3", "--a", "3", "--a2", "4",
+                             "--trials", str(trials), "--depth", "100", "--seed", "7",
+                             "--eps", "1e-6", "--out", str(out)]) == 0
+            rows[trials] = out.read_bytes().split(b"\n")
+        capsys.readouterr()
+        assert len(rows[100]) == 1 + 100 * 99 + 1
+        assert rows[5][: 1 + 5 * 99] == rows[100][: 1 + 5 * 99]
+
+    def test_artifacts_hold_only_plain_numbers(self, tmp_path, capsys):
+        # numpy 2 reprs its scalars as np.float64(...); no cell may carry one
+        out, sout = tmp_path / "trace.csv", tmp_path / "summary.json"
+        assert cli_main(self.ARGS + ["--rank", "2", "--out", str(out), "--summary-out", str(sout)]) == 0
+        stdout = capsys.readouterr().out.encode()
+        for blob in (out.read_bytes(), sout.read_bytes(), stdout):
+            assert b"np." not in blob and b"array" not in blob
 
 
 class TestSample:

@@ -26,6 +26,7 @@ from conecf import (
     rel_residual,
     to_ordinary,
     trace_cf,
+    trace_differences,
     u_vec,
     w_seq,
     zero,
@@ -428,6 +429,40 @@ class TestTrace:
             cf_general(seq, 2)
         # the trace never forms that quotient: R_2 = (e + 1e-600 e)^{-1} rounds to e
         assert np.array_equal(trace_cf(seq, 2).records[1].convergent.mat, np.eye(3))
+
+
+class TestStackedTrace:
+    @pytest.mark.parametrize("general", [False, True], ids=["unit", "general"])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_each_trial_is_traced_as_alone(self, r, general):
+        # w_k of a trial are bit for bit those of a one-trial stack and of
+        # trace_cf, whatever the other trials hold
+        rng = np.random.default_rng(60 + r)
+        trials, depth = 7, 40
+        xs = np.array([[wishart_array(rng, r) for _ in range(depth)] for _ in range(trials)])
+        ys = np.array([[wishart_array(rng, r) for _ in range(depth)] for _ in range(trials)]) if general else None
+        ws = trace_differences(xs, ys)
+        assert ws.shape == (trials, depth - 1, r, r)
+        for t in range(trials):
+            alone = trace_differences(xs[t:t + 1], None if ys is None else ys[t:t + 1])[0]
+            assert np.array_equal(ws[t], alone)
+            seq = CFSequence(tuple(cone(SymMatrix(x)) for x in xs[t]),
+                             None if ys is None else tuple(cone(SymMatrix(y)) for y in ys[t]))
+            records = trace_cf(seq, depth).records
+            assert all(np.array_equal(rec.w.mat, w) for rec, w in zip(records, ws[t]))
+
+    def test_transfer_denominator_failure_names_level_and_trial(self):
+        xs = np.broadcast_to(np.eye(2), (3, 5, 2, 2))
+        ys = np.array(xs)
+        ys[1, 0] = np.diag([1.0, 1e-12])  # T_1 = y_1^{-1} must clear the relative cone margin
+        with pytest.raises(ConeMembershipError, match=r"transfer denominator at level 1 \(stack index \(1,\)\)"):
+            trace_differences(xs, ys)
+
+    def test_shape_validation(self):
+        with pytest.raises(ValueError, match="stack"):
+            trace_differences(np.ones((4, 2, 2)))
+        with pytest.raises(ValueError, match="do not match"):
+            trace_differences(np.broadcast_to(np.eye(2), (1, 3, 2, 2)), np.ones((1, 2, 2, 2)))
 
 
 def wishart_array(rng: np.random.Generator, r: int) -> np.ndarray:

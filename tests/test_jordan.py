@@ -23,7 +23,15 @@ from conecf import (
     to_json_dict,
     zero,
 )
-from conecf.jordan import EigenConvergenceError, _jacobi, inv_cone_raw, inv_sym_raw
+from conecf.jordan import (
+    EigenConvergenceError,
+    _jacobi,
+    closed_cone_test,
+    inv_cone_raw,
+    inv_sym_raw,
+    min_eig_raw,
+    open_cone_test,
+)
 
 from helpers import make_spd, make_sym
 
@@ -198,6 +206,40 @@ class TestSpectral:
         a[0, 1] = a[1, 0] = np.nan
         with pytest.raises(EigenConvergenceError):
             _jacobi(a)
+
+
+class TestStacks:
+    """Every stacked primitive gives, slot by slot, bit for bit what it gives one matrix."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_stack_matches_each_matrix(self, r, rng):
+        a = np.array([[make_sym(r, rng, scale=2.0).mat for _ in range(5)] for _ in range(3)])
+        a[0, 0] = np.diag(np.arange(1.0, r + 1))  # a zero off-diagonal entry
+        spd = np.array([make_spd(r, rng).mat for _ in range(6)])
+        w, v = _jacobi(a)
+        mins, norms = min_eig_raw(a), frob_norm(a)
+        (cmn, breach), (omn, ok) = closed_cone_test(a), open_cone_test(a)
+        assert w.shape == a.shape[:-1] and v.shape == a.shape
+        for i, j in np.ndindex(a.shape[:2]):
+            wi, vi = _jacobi(a[i, j])
+            assert np.array_equal(w[i, j], wi) and np.array_equal(v[i, j], vi)
+            assert mins[i, j] == min_eig_raw(a[i, j]) and norms[i, j] == frob_norm(a[i, j])
+            assert (cmn[i, j], breach[i, j]) == closed_cone_test(a[i, j])
+            assert (omn[i, j], ok[i, j]) == open_cone_test(a[i, j])
+        inv = inv_cone_raw(spd, "stack")
+        for i in range(len(spd)):
+            assert np.array_equal(inv[i], inv_cone_raw(spd[i], "one"))
+
+    def test_single_matrix_results_are_python_scalars(self, rng):
+        a = make_spd(3, rng).mat
+        for value in (min_eig_raw(a), frob_norm(a), *closed_cone_test(a), *open_cone_test(a)):
+            assert type(value) in (float, bool)
+
+    def test_failing_slot_is_named(self):
+        a = np.array([np.eye(2), np.diag([1.0, -1.0]), np.eye(2)])
+        with pytest.raises(ConeMembershipError, match=r"^stacked \(stack index \(1,\)\) leaves the cone"):
+            inv_cone_raw(a, "stacked")
+        assert open_cone_test(a)[1].tolist() == [True, False, True]
 
 
 class TestPower:

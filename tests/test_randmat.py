@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.stats import gaussian_kde, kstest
 
 from conecf import (
     Beta2Params,
+    ConeMembershipError,
     RngStream,
     SymMatrix,
     beta2_log_density,
@@ -20,7 +22,8 @@ from conecf import (
     sample_wishart,
     split_stream,
 )
-from conecf.randmat import _beta2_arrays, _wishart_arrays
+from conecf.jordan import open_cone_test
+from conecf.randmat import _MAX_REDRAWS, _beta2_arrays, _wishart_arrays
 
 
 def scal(v):
@@ -196,6 +199,84 @@ class TestBeta2Sampler:
             est = kde(c)[0] / scale.prod()
             true = np.exp(beta2_log_density(cone(SymMatrix(m)), params))
             assert 0.7 <= est / true <= 1.4
+
+
+class TestBatchedSampler:
+    def test_every_slot_is_certified(self):
+        rng = RngStream(31)
+        for batch in (sample_beta2(Beta2Params(1.5, 1.5, 3), rng, n=2000),
+                      sample_wishart(1.5, 3, rng, n=2000)):
+            assert batch.shape == (2000, 3, 3) and not batch.flags.writeable
+            assert all(in_cone(SymMatrix(x)) is not None for x in batch)
+
+    def test_degenerate_draws_are_redrawn(self):
+        # a gamma draw of shape 0.01 underflows to zero about once in 1200,
+        # so some denominators W are singular; those slots are redrawn,
+        # without warnings, instead of aborting the batch
+        params = Beta2Params(2.0, 0.01, 1)
+        first = _beta2_arrays(2.0, 0.01, 1, RngStream(31).generator, 20_000)
+        assert (first == 0.0).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = sample_beta2(params, RngStream(31), n=20_000)
+        assert np.isfinite(batch).all() and (batch > 0.0).all()
+
+    def test_single_draw_consumes_the_stream_of_one_slot(self):
+        # the single draw is the n = 1 case, and it reads exactly one
+        # _beta2_arrays(..., 1) draw from the stream, as it always has
+        params = Beta2Params(2.0, 3.0, 2)
+        rng, ref, batched = RngStream(12), RngStream(12), RngStream(12)
+        x = sample_beta2(params, rng)
+        want = _beta2_arrays(2.0, 3.0, 2, ref.generator, 1)[0]
+        assert np.array_equal(x.mat, want)
+        assert np.array_equal(sample_beta2(params, batched, n=1)[0], want)
+        state = ref.generator.bit_generator.state
+        assert rng.generator.bit_generator.state == state
+        assert batched.generator.bit_generator.state == state
+
+    def test_only_failing_slots_are_redrawn(self, monkeypatch):
+        # the certifier rejects slots 1 and 3 of the first round; they alone
+        # are redrawn, in slot order, from the same stream
+        calls = []
+
+        def certifier(stack):
+            mn, ok = open_cone_test(stack)
+            if not calls:
+                ok[[1, 3]] = False
+            calls.append(len(stack))
+            return mn, ok
+
+        monkeypatch.setattr("conecf.randmat.open_cone_test", certifier)
+        params = Beta2Params(3.0, 4.0, 2)
+        got = sample_beta2(params, RngStream(8), n=6)
+        gen = RngStream(8).generator
+        first = _beta2_arrays(3.0, 4.0, 2, gen, 6)
+        second = _beta2_arrays(3.0, 4.0, 2, gen, 2)
+        assert calls == [6, 2]
+        assert np.array_equal(got[[0, 2, 4, 5]], first[[0, 2, 4, 5]])
+        assert np.array_equal(got[[1, 3]], second)
+
+    @pytest.mark.parametrize("n", [None, 1, 5])
+    def test_exhausted_redraws_name_the_sampler(self, monkeypatch, n):
+        calls = []
+
+        def certifier(stack):
+            calls.append(len(stack))
+            mn, ok = open_cone_test(stack)
+            return mn, np.zeros_like(ok)
+
+        monkeypatch.setattr("conecf.randmat.open_cone_test", certifier)
+        with pytest.raises(ConeMembershipError, match="sample_beta2: 5 consecutive draws of slot 0"):
+            sample_beta2(Beta2Params(3.0, 3.0, 2), RngStream(1), n=n)
+        assert len(calls) == _MAX_REDRAWS
+        with pytest.raises(ConeMembershipError, match="sample_wishart"):
+            sample_wishart(3.0, 2, RngStream(1), n=n)
+
+    def test_rank_one_batch_is_beta_prime(self):
+        # criterion 7's gates, on one batch of 10 000 draws
+        xs = sample_beta2(Beta2Params(2.0, 3.0, 1), split_stream(RngStream(70), 0), n=10_000)[:, 0, 0]
+        assert kstest(xs, lambda t: betainc(2.0, 3.0, t / (1.0 + t))).statistic < 0.02
+        assert abs(xs.mean() - 1.0) < 4.0 * xs.std() / math.sqrt(xs.size)
 
 
 class TestStreams:
