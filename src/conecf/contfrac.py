@@ -584,8 +584,8 @@ def trace_differences(xs: np.ndarray, ys: Optional[np.ndarray] = None) -> np.nda
     the same for every trial whatever the rest of the stack holds.
     """
     xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 4 or xs.shape[-1] != xs.shape[-2] or xs.shape[1] < 2:
-        raise ValueError(f"expected a (trials, depth >= 2, r, r) stack, got shape {xs.shape}")
+    if xs.ndim != 4 or xs.shape[-1] != xs.shape[-2] or xs.shape[0] < 1 or xs.shape[1] < 2:
+        raise ValueError(f"expected a (trials >= 1, depth >= 2, r, r) stack, got shape {xs.shape}")
     if ys is not None:
         ys = np.asarray(ys, dtype=float)
         if ys.shape != xs.shape:

@@ -189,6 +189,8 @@ def _draws_in_cone(arrays, args: tuple, rng: RngStream, n: Optional[int], what: 
     drawn and returned as a ConeElement carrying its certificate; otherwise
     the certified draws come back as a read-only ``(n, r, r)`` array.
     """
+    if n is not None and n < 1:
+        raise ValueError(f"{what}: need n >= 1 draws, got {n}")
     stack = arrays(*args, rng.generator, 1 if n is None else n)
     mn, ok = open_cone_test(stack)
     rounds = 1

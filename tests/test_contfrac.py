@@ -461,6 +461,8 @@ class TestStackedTrace:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="stack"):
             trace_differences(np.ones((4, 2, 2)))
+        with pytest.raises(ValueError, match="stack"):
+            trace_differences(np.ones((0, 3, 2, 2)))
         with pytest.raises(ValueError, match="do not match"):
             trace_differences(np.broadcast_to(np.eye(2), (1, 3, 2, 2)), np.ones((1, 2, 2, 2)))
 

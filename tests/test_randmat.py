@@ -272,6 +272,12 @@ class TestBatchedSampler:
         with pytest.raises(ConeMembershipError, match="sample_wishart"):
             sample_wishart(3.0, 2, RngStream(1), n=n)
 
+    def test_batch_size_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            sample_beta2(Beta2Params(3.0, 3.0, 2), RngStream(1), n=0)
+        with pytest.raises(ValueError, match="n >= 1"):
+            sample_wishart(3.0, 2, RngStream(1), n=-1)
+
     def test_rank_one_batch_is_beta_prime(self):
         # criterion 7's gates, on one batch of 10 000 draws
         xs = sample_beta2(Beta2Params(2.0, 3.0, 1), split_stream(RngStream(70), 0), n=10_000)[:, 0, 0]
