@@ -37,7 +37,6 @@ from .contfrac import (
     q_apply,
     to_ordinary,
     trace_cf,
-    trace_differences,
     u_vec,
     w_seq,
 )

@@ -23,7 +23,8 @@ Evaluation conventions, applied throughout:
   checked against.
 * Traces run forward, once over the levels, for a whole stack of
   sequences at once (``_differences``; ``trace_cf`` is its one-sequence
-  case and ``trace_differences`` its stacked entry point).  The level
+  case, and ``trace_differences`` certifies a raw stack of unit-quotient
+  numerators and traces it, for the Monte Carlo harness).  The level
   map g_n(X) = l_n (y_n + X)^{-1} l_n^T is the linear-fractional map of
   M_n = [[0, l_n], [l_n^{-T}, l_n^{-T} y_n]], and the convergents of a
   prefix P_k = M_1 ... M_k = [[A, B], [C, D]] need only its bottom block
@@ -67,6 +68,7 @@ from .jordan import (
     inv_cone_raw,
     inv_sym_raw,
     min_eig_raw,
+    open_cone_test,
     rel_residual,
 )
 
@@ -235,10 +237,13 @@ def _suffixes(
 
 
 def _level_arrays(seq: CFSequence, n: int):
-    """Raw numerators, their Cholesky factors and raw denominators (or None) of levels 1..n."""
-    xs = [x.mat for x in seq.xs[:n]]
-    ys = [y.mat for y in seq.ys[:n]] if seq.ys is not None else None
-    return xs, [_chol_raw(x) for x in xs], ys
+    """Raw numerators, their Cholesky factors and raw denominators (or None) of levels 1..n.
+
+    Each is one ``(n, r, r)`` stack, indexed by level - 1.
+    """
+    xs = np.stack([x.mat for x in seq.xs[:n]])
+    ys = np.stack([y.mat for y in seq.ys[:n]]) if seq.ys is not None else None
+    return xs, _chol_raw(xs), ys
 
 
 def _chol_extended(a: np.ndarray) -> np.ndarray:
@@ -573,31 +578,41 @@ def _differences(ls: np.ndarray, ys: Optional[np.ndarray]) -> np.ndarray:
     return ws / 2.0 + ws.swapaxes(-1, -2) / 2.0
 
 
-def trace_differences(xs: np.ndarray, ys: Optional[np.ndarray] = None) -> np.ndarray:
-    """The differences w_1 .. w_{depth-1} of a whole stack of continued fractions at once.
+def trace_differences(xs: np.ndarray) -> np.ndarray:
+    """The differences w_1 .. w_{depth-1} of a whole stack of unit-quotient continued fractions.
 
-    ``xs`` is a ``(trials, depth, r, r)`` array of positive definite partial
-    numerators (certified, as the samplers draw them) and ``ys`` the partial
-    denominators in the same shape, or None for unit denominators.  Returns
-    the ``(trials, depth - 1, r, r)`` array of w_k = (-1)^{k+1}(R_k - R_{k+1})
-    from the forward pass ``trace_cf`` makes for one sequence, bit for bit
-    the same for every trial whatever the rest of the stack holds.
+    ``xs`` is a ``(trials, depth, r, r)`` array of partial numerators.  Each
+    must be finite, exactly symmetric and clear the open-cone margin, as
+    ``cone`` certifies; the first that does not raises, named by its trial
+    and level.  Returns the ``(trials, depth - 1, r, r)`` array of
+    w_k = (-1)^{k+1}(R_k - R_{k+1}) from the forward pass ``trace_cf`` makes
+    for one sequence, bit for bit the same for every trial whatever the
+    rest of the stack holds.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 4 or xs.shape[-1] != xs.shape[-2] or xs.shape[0] < 1 or xs.shape[1] < 2:
         raise ValueError(f"expected a (trials >= 1, depth >= 2, r, r) stack, got shape {xs.shape}")
-    if ys is not None:
-        ys = np.asarray(ys, dtype=float)
-        if ys.shape != xs.shape:
-            raise ValueError(f"denominators of shape {ys.shape} do not match numerators {xs.shape}")
-    return _differences(_chol_raw(xs), ys)
+    if not np.isfinite(xs).all():
+        raise ValueError("partial numerators must be finite")
+    asym = (xs != xs.swapaxes(-1, -2)).any(axis=(-2, -1))
+    if asym.any():
+        trial, level = np.argwhere(asym)[0].tolist()
+        raise ValueError(f"partial numerator x_{level + 1} of trial {trial} is not symmetric")
+    mn, ok = open_cone_test(xs)
+    if not ok.all():
+        trial, level = np.argwhere(~ok)[0].tolist()
+        raise ConeMembershipError(
+            f"partial numerator x_{level + 1} of trial {trial} leaves the cone: "
+            f"smallest eigenvalue {mn[trial, level]:.3e}"
+        )
+    return _differences(_chol_raw(xs), None)
 
 
 def trace_cf(seq: CFSequence, depth: int) -> ConvergentTrace:
     """Convergents R_1..R_depth with forward differences, for analysis/export.
 
     Uncapped in depth, and linear in it: one forward pass (the one-sequence
-    case of ``trace_differences``) gives every difference
+    case of ``_differences``) gives every difference
     w_k = (-1)^{k+1}(R_k - R_{k+1}) without subtracting, and the
     convergents are its partial sums from R_1, which is evaluated as
     ``cf_general`` evaluates it.  For unit partial denominators w_k is a
@@ -605,9 +620,7 @@ def trace_cf(seq: CFSequence, depth: int) -> ConvergentTrace:
     """
     if not 1 <= depth <= len(seq.xs):
         raise ValueError(f"depth {depth} out of range [1, {len(seq.xs)}]")
-    xs = np.stack([x.mat for x in seq.xs[:depth]])
-    ys = np.stack([y.mat for y in seq.ys[:depth]]) if seq.ys is not None else None
-    ls = _chol_raw(xs)
+    xs, ls, ys = _level_arrays(seq, depth)
     conv = _innermost(xs, ls, ys, 1)
     if seq.head is not None:
         conv = seq.head.mat + conv

@@ -16,11 +16,11 @@ identity.
 Determinism: all randomness flows from one master seed.  In the
 experiment, trial t draws from ``split_stream(master, t)`` alone, its
 odd-indexed numerators as one batch and then its even-indexed ones as
-another (one batch at period 1); the whole experiment is then traced and
-certified as one ``(trials, depth, r, r)`` stack whose every step acts on
-each trial by itself.  So a trial's rows depend only on (seed, trial_id),
-not on how many trials run, and with fixed output formatting equal
-configurations produce byte-identical artifacts.  The identity suite
+another (one batch at period 1); trials are then traced and certified
+as ``(trials, depth, r, r)`` stacks of bounded size whose every step acts
+on each trial by itself.  So a trial's rows depend only on (seed,
+trial_id), not on how many trials run, and with fixed output formatting
+equal configurations produce byte-identical artifacts.  The identity suite
 draws each identity's cases from ``split_stream(master, i)``, one at a
 time.
 """
@@ -131,52 +131,55 @@ class TrialResult:
     monotonicity_violations: int
 
 
-def _draw_inputs(cfg: ExperimentConfig, master: RngStream) -> np.ndarray:
-    """The ``(trials, depth, r, r)`` stack of partial numerators of the whole experiment.
+# Trials run in stacks of this many numerator entries (trials * depth * r * r),
+# 128 KiB: peak memory stays near that of one trial at a time at any trial
+# count, while each numpy call still serves many trials.
+_CHUNK_ENTRIES = 1 << 14
+
+
+def _draw_inputs(cfg: ExperimentConfig, master: RngStream, trial_ids: range) -> np.ndarray:
+    """The ``(len(trial_ids), depth, r, r)`` stack of partial numerators of those trials.
 
     Trial t draws from ``split_stream(master, t)`` alone: one batched draw
     of its odd-indexed numerators (x_1, x_3, ...) from the first shape pair,
     then one of its even-indexed ones from the second (period 2), or one
     block of all of them (period 1).  So a trial's inputs depend only on
-    (seed, trial_id), never on how many trials share the experiment.
+    (seed, trial_id), never on which trials share its stack.
     """
     r, depth = cfg.rank, cfg.depth
     if cfg.law == "identity":
-        return np.broadcast_to(np.eye(r), (cfg.trials, depth, r, r))
+        return np.broadcast_to(np.eye(r), (len(trial_ids), depth, r, r))
     params = [Beta2Params(p, q, r) for p, q in cfg.shape_pairs()]
-    xs = np.empty((cfg.trials, depth, r, r))
-    for trial_id in range(cfg.trials):
+    xs = np.empty((len(trial_ids), depth, r, r))
+    for slot, trial_id in enumerate(trial_ids):
         stream = split_stream(master, trial_id)
         for residue, prm in enumerate(params):
-            xs[trial_id, residue::cfg.period] = sample_beta2(
+            xs[slot, residue::cfg.period] = sample_beta2(
                 prm, stream, n=len(range(residue, depth, cfg.period))
             )
     return xs
 
 
-def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
-    """Run the experiment; returns the summary dict and writes the CSV if configured.
+def _run_trials(cfg: ExperimentConfig, master: RngStream, trial_ids: range, rows: Optional[list]):
+    """Trace and certify ``trial_ids`` as one stack.
 
-    CSV columns: ``trial,k,delta_norm,wk_min_eig,converged_so_far`` with one
-    data row per (trial, k), k = 1..depth-1.  ``converged_so_far`` marks
-    the converged tail (k at or past the trial's first Cauchy index).
-
-    All trials run as one stack: one forward trace over every trial, one
-    stacked eigen call for the margins and one for the monotonicity test
-    of consecutive differences.  Each of these acts on every trial's
-    slices alone, so a trial's rows do not depend on the other trials.
+    Returns their TrialResults, their ``(trials, depth - 1)`` delta norms
+    and the smallest eigenvalue of any consecutive difference w_k - w_{k+1};
+    appends their CSV rows to ``rows`` unless it is None.  One forward
+    trace, one stacked eigen call for the margins and one for the
+    monotonicity test each act on every trial's slices alone.
     """
-    ws = trace_differences(_draw_inputs(cfg, RngStream(cfg.seed)))
+    ws = trace_differences(_draw_inputs(cfg, master, trial_ids))
     deltas = frob_norm(ws)
     margins = min_eig_raw(ws)
     mono_min, breaches = closed_cone_test(ws[:, :-1] - ws[:, 1:])
     # the converged tail: k from which every later delta is below eps
     tail = np.logical_and.accumulate(deltas[:, ::-1] < cfg.cauchy_eps, axis=1)[:, ::-1]
 
-    results: list[TrialResult] = []
-    all_rows: list[str] = []
-    per_trial = zip(deltas.tolist(), margins.tolist(), tail.tolist(), breaches.sum(axis=1).tolist())
-    for trial_id, (drow, mrow, trow, violations) in enumerate(per_trial):
+    results = []
+    per_trial = zip(trial_ids, deltas.tolist(), margins.tolist(), tail.tolist(),
+                    breaches.sum(axis=1).tolist())
+    for trial_id, drow, mrow, trow, violations in per_trial:
         first_cauchy = cfg.depth - sum(trow) if trow[-1] else None
         results.append(
             TrialResult(
@@ -187,8 +190,34 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
                 monotonicity_violations=violations,
             )
         )
-        for k, (delta, margin, so_far) in enumerate(zip(drow, mrow, trow), start=1):
-            all_rows.append(f"{trial_id},{k},{delta!r},{margin!r},{'true' if so_far else 'false'}")
+        if rows is not None:
+            for k, (delta, margin, so_far) in enumerate(zip(drow, mrow, trow), start=1):
+                rows.append(f"{trial_id},{k},{delta!r},{margin!r},{'true' if so_far else 'false'}")
+    return results, deltas, float(mono_min.min())
+
+
+def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
+    """Run the experiment; returns the summary dict and writes the CSV if configured.
+
+    CSV columns: ``trial,k,delta_norm,wk_min_eig,converged_so_far`` with one
+    data row per (trial, k), k = 1..depth-1.  ``converged_so_far`` marks
+    the converged tail (k at or past the trial's first Cauchy index).
+
+    Trials run as stacks of ``_CHUNK_ENTRIES`` numerator entries (at least
+    one trial each).  Every step acts on each trial's slices alone, so a
+    trial's rows do not depend on which trials share its stack.
+    """
+    master = RngStream(cfg.seed)
+    chunk = max(1, _CHUNK_ENTRIES // (cfg.depth * cfg.rank * cfg.rank))
+    rows: Optional[list[str]] = [] if cfg.out_path is not None else None
+    results: list[TrialResult] = []
+    deltas = np.empty((cfg.trials, cfg.depth - 1))
+    mono_min = np.inf
+    for lo in range(0, cfg.trials, chunk):
+        trial_ids = range(lo, min(lo + chunk, cfg.trials))
+        part, deltas[lo:trial_ids.stop], least = _run_trials(cfg, master, trial_ids, rows)
+        results += part
+        mono_min = min(mono_min, least)
 
     converged = [res for res in results if res.converged]
     firsts = sorted(res.first_cauchy_k for res in converged)
@@ -208,13 +237,13 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
         "trials_converged": len(converged),
         "median_first_cauchy_k": median_first,
         "monotonicity_violations": sum(res.monotonicity_violations for res in results),
-        "max_monotonicity_violation": max(0.0, -float(np.min(mono_min))),
+        "max_monotonicity_violation": max(0.0, -mono_min),
         "median_delta_by_k": np.median(deltas, axis=0).tolist(),
     }
-    if cfg.out_path is not None:
+    if rows is not None:
         with open(cfg.out_path, "w", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
-            fh.write("\n".join(all_rows) + "\n")
+            fh.write("\n".join(rows) + "\n")
     return summary
 
 

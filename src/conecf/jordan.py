@@ -211,10 +211,11 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # arithmetic costs a fraction of that on one-element arrays
         m = a.reshape(2, 2) if a.size == 4 else a
         app, apq, aqq = m[..., 0, 0][()], m[..., 0, 1][()], m[..., 1, 1][()]
-        # a zero off-diagonal entry is already diagonal: theta is zeroed
-        # there and its divisor made one, so t = 0 and the basis is exactly e
+        # a zero off-diagonal entry is already diagonal: its diagonal is
+        # zeroed before the subtraction (which could overflow) and its divisor
+        # made one, so theta = 0, t = 0 and the basis is exactly e
         nz, zero = apq != 0.0, apq == 0.0
-        theta = (aqq - app) * nz / (2.0 * apq + zero)
+        theta = (aqq * nz - app * nz) / (2.0 * apq + zero)
         t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
         # t takes the sign of theta (t - 2t = -t exactly); -0.0 counts as positive
         t = (t - 2.0 * t * (theta < 0.0)) * nz

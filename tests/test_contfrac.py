@@ -26,12 +26,11 @@ from conecf import (
     rel_residual,
     to_ordinary,
     trace_cf,
-    trace_differences,
     u_vec,
     w_seq,
     zero,
 )
-from conecf.contfrac import DEPTH_CAP, _chol_extended, _u_raw
+from conecf.contfrac import DEPTH_CAP, _chol_extended, _differences, _u_raw, trace_differences
 from conecf.division import _chol_raw
 from conecf.jordan import ASSERT_TOL, _jacobi, inv_cone_raw, inv_sym_raw
 
@@ -441,10 +440,12 @@ class TestStackedTrace:
         trials, depth = 7, 40
         xs = np.array([[wishart_array(rng, r) for _ in range(depth)] for _ in range(trials)])
         ys = np.array([[wishart_array(rng, r) for _ in range(depth)] for _ in range(trials)]) if general else None
-        ws = trace_differences(xs, ys)
+        ws = _differences(_chol_raw(xs), ys)
         assert ws.shape == (trials, depth - 1, r, r)
+        if not general:
+            assert np.array_equal(trace_differences(xs), ws)
         for t in range(trials):
-            alone = trace_differences(xs[t:t + 1], None if ys is None else ys[t:t + 1])[0]
+            alone = _differences(_chol_raw(xs[t:t + 1]), None if ys is None else ys[t:t + 1])[0]
             assert np.array_equal(ws[t], alone)
             seq = CFSequence(tuple(cone(SymMatrix(x)) for x in xs[t]),
                              None if ys is None else tuple(cone(SymMatrix(y)) for y in ys[t]))
@@ -456,15 +457,31 @@ class TestStackedTrace:
         ys = np.array(xs)
         ys[1, 0] = np.diag([1.0, 1e-12])  # T_1 = y_1^{-1} must clear the relative cone margin
         with pytest.raises(ConeMembershipError, match=r"transfer denominator at level 1 \(stack index \(1,\)\)"):
-            trace_differences(xs, ys)
+            _differences(_chol_raw(xs), ys)
+
+    def test_numerators_are_certified(self):
+        xs = np.array(np.broadcast_to(np.eye(2), (3, 5, 2, 2)))
+        upper = xs.copy()
+        upper[1, 2, 0, 1] = 0.5  # the Cholesky factor reads the lower triangle only
+        with pytest.raises(ValueError, match="x_3 of trial 1 is not symmetric"):
+            trace_differences(upper)
+        thin = xs.copy()
+        thin[2, 0] = np.diag([1.0, 1e-12])  # positive, but inside the relative cone margin
+        with pytest.raises(ConeMembershipError, match="x_1 of trial 2 leaves the cone"):
+            trace_differences(thin)
+        for bad in (np.nan, np.inf):
+            junk = xs.copy()
+            junk[0, 4, 1, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                trace_differences(junk)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="stack"):
             trace_differences(np.ones((4, 2, 2)))
         with pytest.raises(ValueError, match="stack"):
             trace_differences(np.ones((0, 3, 2, 2)))
-        with pytest.raises(ValueError, match="do not match"):
-            trace_differences(np.broadcast_to(np.eye(2), (1, 3, 2, 2)), np.ones((1, 2, 2, 2)))
+        with pytest.raises(ValueError, match="stack"):
+            trace_differences(np.broadcast_to(np.eye(2), (1, 1, 2, 2)))
 
 
 def wishart_array(rng: np.random.Generator, r: int) -> np.ndarray:

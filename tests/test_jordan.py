@@ -422,6 +422,19 @@ class TestScale:
             got = s * inv(s * m, "scaled")
             assert frob_norm(got - want) <= 1e-12 * frob_norm(want)
 
+    @pytest.mark.parametrize("s", [1e200, 1e308, 1.5e308])
+    def test_diagonal_spread_past_the_double_range(self, s):
+        # aqq - app overflows, but a diagonal matrix is its own spectrum
+        d = np.diag([-s, s])
+        w, v = _jacobi(d)
+        assert w.tolist() == [-s, s] and np.array_equal(v, np.eye(2))
+        w, v = _jacobi(np.stack([np.eye(2), d]))
+        assert w.tolist() == [[1.0, 1.0], [-s, s]] and np.array_equal(v, np.stack([np.eye(2)] * 2))
+        assert min_eig_raw(d) == -s
+        if s < 1.2e308:  # ||d|| = s * sqrt(2) stays finite
+            assert closed_cone_test(d) == (-s, True)
+        assert open_cone_test(d) == (-s, False)
+
     @pytest.mark.parametrize("s", [1e-200, *SCALES, 1e300])
     def test_norms_are_finite_and_scale_covariant(self, s, rng):
         a, b = make_sym(3, rng).mat, make_sym(3, rng).mat
