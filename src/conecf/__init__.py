@@ -22,7 +22,7 @@ from .jordan import (
     to_json_dict,
     zero,
 )
-from .division import MODES, TriangularFactor, cholesky, pi_apply, pi_signed_apply, quad_div
+from .division import MODES, pi_apply
 from .contfrac import (
     DEPTH_CAP,
     CFSequence,

@@ -12,63 +12,18 @@ carrying the identity to y.  The four congruence maps supported here are
 The inverse modes run forward/back substitution against the factor;
 forming an explicit inverse matrix is deliberately not done anywhere in
 this module, which keeps the plain/inv round trip exact to working
-precision.
+precision.  Every map takes one matrix or a ``(..., r, r)`` stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .jordan import (
-    ConeElement,
-    ConeMembershipError,
-    SymMatrix,
-    in_cone,
-    power,
-    quad_rep_apply,
-)
+from .jordan import ConeElement, ConeMembershipError, SymMatrix
 
-__all__ = [
-    "MODES",
-    "TriangularFactor",
-    "cholesky",
-    "chol_raw",
-    "pi_raw",
-    "pi_apply",
-    "pi_signed_apply",
-    "quad_div",
-]
+__all__ = ["MODES", "chol_raw", "pi_raw", "pi_apply"]
 
 MODES = ("plain", "star", "inv", "star_inv")
-
-
-@dataclass(frozen=True, eq=False)
-class TriangularFactor:
-    """Lower triangular matrix with strictly positive diagonal."""
-
-    mat: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.array(self.mat, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if np.abs(np.triu(a, 1)).max(initial=0.0) != 0.0:
-            raise ValueError("factor has entries above the diagonal")
-        if not (np.diagonal(a) > 0.0).all():
-            raise ValueError("factor diagonal must be strictly positive")
-        a.flags.writeable = False
-        object.__setattr__(self, "mat", a)
-
-    @property
-    def r(self) -> int:
-        return self.mat.shape[0]
-
-    def apply_to_identity(self) -> SymMatrix:
-        """l l^T, the cone element this factor represents."""
-        return SymMatrix(self.mat @ self.mat.T)
 
 
 def _chol_raw(a: np.ndarray) -> np.ndarray:
@@ -81,23 +36,42 @@ def _chol_raw(a: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def cholesky(y: ConeElement) -> TriangularFactor:
-    """Lower triangular l with l l^T = y and positive diagonal."""
-    return TriangularFactor(_chol_raw(y.mat))
+def _t(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
+def _substitute(l: np.ndarray, b: np.ndarray, transposed: bool) -> np.ndarray:
+    """l^{-1} b by forward substitution, or l^{-T} b by back substitution.
+
+    One row of the solution per step, each row a vector across the stack,
+    so ``l`` and ``b`` may be matching ``(..., r, r)`` stacks.
+    """
+    r = l.shape[-1]
+    t = _t(l) if transposed else l
+    out = np.array(b, dtype=np.result_type(l, b), order="C")
+    for step, i in enumerate(range(r - 1, -1, -1) if transposed else range(r)):
+        solved = slice(i + 1, r) if transposed else slice(0, i)
+        row = out[..., i : i + 1, :]
+        if step:
+            row -= t[..., i : i + 1, solved] @ out[..., solved, :]
+        row /= t[..., i : i + 1, i : i + 1]
+    return out
 
 
 def _pi_raw(l: np.ndarray, x: np.ndarray, mode: str) -> np.ndarray:
-    """Apply one congruence mode for the factor l to a raw array."""
+    """Apply one congruence mode for the factor l to a raw array or stack.
+
+    An inverse-mode quotient that overflows comes back non-finite, without
+    a floating-point warning: the evaluators test it and name its level.
+    """
     if mode == "plain":
-        return l @ x @ l.T
+        return l @ x @ _t(l)
     if mode == "star":
-        return l.T @ x @ l
-    if mode == "inv":
-        w = solve_triangular(l, x, lower=True, check_finite=False)
-        return solve_triangular(l, w.T, lower=True, check_finite=False).T
-    if mode == "star_inv":
-        w = solve_triangular(l, x, lower=True, trans=1, check_finite=False)
-        return solve_triangular(l, w.T, lower=True, trans=1, check_finite=False).T
+        return _t(l) @ x @ l
+    if mode in ("inv", "star_inv"):
+        transposed = mode == "star_inv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _t(_substitute(l, _t(_substitute(l, x, transposed)), transposed))
     raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
@@ -105,39 +79,10 @@ def _pi_raw(l: np.ndarray, x: np.ndarray, mode: str) -> np.ndarray:
 chol_raw, pi_raw = _chol_raw, _pi_raw
 
 
-def pi_apply(y, x: SymMatrix, mode: str) -> SymMatrix:
-    """Triangular multiplication/division of x by y.
-
-    ``y`` may be a certified ConeElement (factored here per call) or a
-    TriangularFactor when the caller has already factored it; continued
-    fraction evaluators use the prefactored path.
-    """
-    if isinstance(y, TriangularFactor):
-        l = y.mat
-    elif isinstance(y, ConeElement):
-        l = _chol_raw(y.mat)
-    else:
-        raise TypeError(f"expected ConeElement or TriangularFactor, got {type(y).__name__}")
-    if l.shape[0] != x.r:
-        raise ValueError(f"dimension mismatch: {l.shape[0]} vs {x.r}")
-    return SymMatrix(_pi_raw(l, x.mat, mode))
-
-
-def pi_signed_apply(y_signed: SymMatrix, x: SymMatrix, mode: str) -> SymMatrix:
-    """Extension of the congruence maps to arguments with +/- y positive definite."""
-    c = in_cone(y_signed)
-    if c is not None:
-        return pi_apply(c, x, mode)
-    c = in_cone(SymMatrix(-y_signed.mat))
-    if c is not None:
-        return SymMatrix(-pi_apply(c, x, mode).mat)
-    raise ConeMembershipError(
-        "neither the argument nor its negation is positive definite"
-    )
-
-
-def quad_div(y: ConeElement, x: SymMatrix) -> SymMatrix:
-    """The quadratic-representation quotient of x by y: P(y^{-1/2}) x."""
+def pi_apply(y: ConeElement, x: SymMatrix, mode: str) -> SymMatrix:
+    """Triangular multiplication/division of x by the certified element y."""
+    if not isinstance(y, ConeElement):
+        raise TypeError(f"expected ConeElement, got {type(y).__name__}")
     if y.r != x.r:
         raise ValueError(f"dimension mismatch: {y.r} vs {x.r}")
-    return quad_rep_apply(power(y, -0.5).m, x)
+    return SymMatrix(_pi_raw(_chol_raw(y.mat), x.mat, mode))

@@ -16,11 +16,11 @@ consumers never share a mutable generator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .jordan import ConeElement, ConeMembershipError, SymMatrix, open_cone_test, spectral_decomposition
 
@@ -115,8 +115,7 @@ def gamma_omega(p: float, r: int) -> float:
         raise ValueError(f"rank must be at least 1, got {r}")
     if not p > (r - 1) / 2.0:
         raise ValueError(f"shape must exceed (r-1)/2 = {(r - 1) / 2.0}, got {p}")
-    ks = np.arange(r)
-    return float(0.25 * r * (r - 1) * np.log(2.0 * np.pi) + gammaln(p - 0.5 * ks).sum())
+    return 0.25 * r * (r - 1) * math.log(2.0 * math.pi) + sum(math.lgamma(p - 0.5 * k) for k in range(r))
 
 
 def beta_omega(p: float, q: float, r: int) -> float:

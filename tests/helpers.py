@@ -22,12 +22,17 @@ def make_sym(r: int, rng: np.random.Generator, scale: float = 1.0) -> SymMatrix:
     return SymMatrix((a + a.T) / 2.0)
 
 
-def run_cli_module(*argv: str) -> subprocess.CompletedProcess:
-    """``python -m conecf.cli`` in a child process that turns RuntimeWarning into an error."""
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a child process that imports this package and turns RuntimeWarning into an error."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(conecf.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "conecf.cli", *argv],
+        [sys.executable, "-W", "error::RuntimeWarning", *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def run_cli_module(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m conecf.cli`` in a child process that turns RuntimeWarning into an error."""
+    return run_python("-m", "conecf.cli", *argv)

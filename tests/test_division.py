@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,19 +8,16 @@ from conecf import (
     ConeElement,
     ConeMembershipError,
     SymMatrix,
-    TriangularFactor,
-    cholesky,
     cone,
     identity,
     in_cone,
     inner,
     inverse,
     pi_apply,
-    pi_signed_apply,
-    quad_div,
     quad_rep_apply,
     rel_residual,
 )
+from conecf.division import chol_raw, pi_raw
 from conecf.jordan import ASSERT_TOL
 
 from helpers import make_spd, make_sym
@@ -33,36 +31,26 @@ def sym(rows):
 
 class TestCholesky:
     def test_identity(self):
-        assert np.array_equal(cholesky(identity(3)).mat, np.eye(3))
+        assert np.array_equal(chol_raw(np.eye(3)), np.eye(3))
 
     def test_scalar_sqrt(self):
-        assert cholesky(cone(sym([[9.0]]))).mat[0, 0] == 3.0
+        assert chol_raw(np.array([[9.0]]))[0, 0] == 3.0
 
     def test_two_by_two_by_hand(self):
         # l = [[2,0],[1,2]] reproduces [[4,2],[2,5]]
-        l = cholesky(cone(sym([[4, 2], [2, 5]])))
-        assert np.allclose(l.mat, [[2, 0], [1, 2]], atol=1e-14)
+        l = chol_raw(np.array([[4.0, 2.0], [2.0, 5.0]]))
+        assert np.allclose(l, [[2, 0], [1, 2]], atol=1e-14)
 
     def test_factor_reproduces_element(self, rng):
         for r in (1, 2, 3, 4):
             y = make_spd(r, rng)
-            l = cholesky(y)
-            assert rel_residual(l.apply_to_identity(), y.m) < 1e-10
+            l = chol_raw(y.mat)
+            assert rel_residual(SymMatrix(l @ l.T), y.m) < 1e-10
 
     def test_miscertified_input_raises(self):
         fake = ConeElement(sym([[1, 0], [0, -1]]), min_eig=0.5)
         with pytest.raises(ConeMembershipError, match="pivot"):
-            cholesky(fake)
-
-
-class TestTriangularFactor:
-    def test_rejects_upper_entries(self):
-        with pytest.raises(ValueError, match="above the diagonal"):
-            TriangularFactor(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-    def test_rejects_nonpositive_diagonal(self):
-        with pytest.raises(ValueError, match="strictly positive"):
-            TriangularFactor(np.array([[1.0, 0.0], [1.0, 0.0]]))
+            pi_apply(fake, identity(2).m, "inv")
 
 
 class TestPiApply:
@@ -84,13 +72,6 @@ class TestPiApply:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             pi_apply(identity(2), identity(2).m, "sideways")
-
-    def test_prefactored_path_matches(self, rng):
-        y = make_spd(3, rng)
-        x = make_sym(3, rng)
-        l = cholesky(y)
-        for mode in ("plain", "star", "inv", "star_inv"):
-            assert np.array_equal(pi_apply(y, x, mode).mat, pi_apply(l, x, mode).mat)
 
     @few
     @given(st.integers(0, 10**6), st.integers(1, 4))
@@ -188,36 +169,57 @@ class TestFactorizationIdentities:
             assert lowest_got == pytest.approx(lowest, abs=1e-4)
 
 
-class TestPiSigned:
-    def test_negated_identity(self, rng):
-        x = make_sym(2, rng)
-        got = pi_signed_apply(SymMatrix(-np.eye(2)), x, "plain")
-        assert np.allclose(got.mat, -x.mat, atol=0)
-
-    def test_scalar(self):
-        got = pi_signed_apply(sym([[-4.0]]), sym([[3.0]]), "plain")
-        assert got.mat[0, 0] == pytest.approx(-12.0, abs=1e-15)
-
-    def test_negated_dense(self):
-        y = sym([[4, 2], [2, 5]])
-        got = pi_signed_apply(SymMatrix(-y.mat), identity(2).m, "plain")
-        assert rel_residual(SymMatrix(-got.mat), y) < 1e-14
-
-    def test_indefinite_rejected(self):
-        with pytest.raises(ConeMembershipError, match="negation"):
-            pi_signed_apply(sym([[1, 0], [0, -1]]), identity(2).m, "plain")
+def stack_of(r, n, rng):
+    """n factors of random cone elements and n random symmetric matrices, as (n, r, r) stacks."""
+    ls = np.stack([chol_raw(make_spd(r, rng).mat) for _ in range(n)])
+    xs = np.stack([make_sym(r, rng).mat for _ in range(n)])
+    return ls, xs
 
 
-class TestQuadDiv:
-    def test_self_quotient_is_identity(self, rng):
-        for r in (1, 2, 3):
-            y = make_spd(r, rng)
-            assert rel_residual(quad_div(y, y.m), identity(r).m) < 1e-10
+def mp_congruence(l, x, mode):
+    """The congruence by l in 50-digit arithmetic, from the exact values of the double inputs."""
+    with mpmath.workdps(50):
+        L, X = mpmath.matrix(l.tolist()), mpmath.matrix(x.tolist())
+        Linv = mpmath.inverse(L)
+        return Linv * X * Linv.T if mode == "inv" else Linv.T * X * Linv
 
-    def test_scalar(self):
-        assert quad_div(cone(sym([[4.0]])), sym([[8.0]])).mat[0, 0] == pytest.approx(2.0, rel=1e-14)
 
-    def test_identity_numerator_gives_inverse(self):
-        y = cone(sym([[2, 1], [1, 2]]))
-        expected = np.array([[2, -1], [-1, 2]]) / 3.0
-        assert np.allclose(quad_div(y, identity(2).m).mat, expected, atol=1e-12)
+class TestSubstitution:
+    """The inverse modes: forward/back substitution over the rows, on single matrices and stacks."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_stack_equals_per_matrix_calls(self, r, rng):
+        ls, xs = stack_of(r, 7, rng)
+        for mode in ("plain", "star", "inv", "star_inv"):
+            stacked = pi_raw(ls, xs, mode)
+            assert stacked.shape == (7, r, r)
+            for t in range(7):
+                assert np.array_equal(stacked[t], pi_raw(ls[t], xs[t], mode))
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_round_trips(self, r, rng):
+        ls, xs = stack_of(r, 20, rng)
+        for inverse_mode, mode in (("inv", "plain"), ("star_inv", "star")):
+            back = pi_raw(ls, pi_raw(ls, xs, inverse_mode), mode)
+            for t in range(20):
+                assert rel_residual(SymMatrix(back[t]), SymMatrix(xs[t])) < 1e-12
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_matches_extended_reference(self, r, rng):
+        for _ in range(10):
+            l = chol_raw(make_spd(r, rng).mat)
+            x = make_sym(r, rng).mat
+            for mode in ("inv", "star_inv"):
+                got = pi_raw(l, x, mode)
+                ref = mp_congruence(l, x, mode)
+                with mpmath.workdps(50):
+                    err = mpmath.mnorm(mpmath.matrix(got.tolist()) - ref, "f") / mpmath.mnorm(ref, "f")
+                assert err < 1e-13, (mode, float(err))
+
+    def test_overflowing_quotient_is_non_finite_without_warnings(self):
+        # a zero below the diagonal meets an infinite row: no inf * 0 warning either
+        l = np.diag([1e-200, 1.0])
+        x = np.array([[1e200, 1.0], [1.0, 1.0]])
+        with np.errstate(all="raise"):
+            for mode in ("inv", "star_inv"):
+                assert not np.isfinite(pi_raw(l, x, mode)).all()

@@ -4,6 +4,8 @@ Each module owns its private helpers: jordan the eigen work, division the
 triangular congruences, randmat the sampling, contfrac the tail-first
 kernel.  A sibling that needs one goes through a public name.  jordan also
 owns the certification policy: no other module names its tolerances.
+numpy is the only runtime dependency: nothing under the package imports
+scipy, directly or through another package.
 """
 
 import ast
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import conecf
 
-from helpers import run_cli_module
+from helpers import run_cli_module, run_python
 
 PACKAGE = Path(conecf.__file__).resolve().parent
 
@@ -67,3 +69,25 @@ def test_module_entry_point_runs_without_runtime_warnings():
     proc = run_cli_module("--help")
     assert proc.returncode == 0, proc.stderr
     assert "usage: conecf" in proc.stdout
+
+
+def imported_roots(path: Path) -> set[str]:
+    """Top-level package of every absolute import in a module."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_no_module_imports_scipy():
+    offenders = sorted(path.name for path in sorted(PACKAGE.glob("*.py")) if "scipy" in imported_roots(path))
+    assert offenders == []
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    proc = run_python("-c", "import conecf, sys; print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
