@@ -7,7 +7,6 @@ from .jordan import (
     Spectrum,
     SymMatrix,
     cone,
-    cone_less,
     frob_norm,
     from_json_dict,
     identity,

@@ -15,9 +15,9 @@ Evaluation conventions, applied throughout:
 * Single convergents are evaluated tail first - the innermost level is
   computed and the recursion unwinds outward.  One kernel, ``_suffixes``,
   holds that backward recursion: in one pass it returns every suffix value
-  K_{i=j+1..n}(x_i / y_i), in the working precision of its arrays.  The
-  general evaluator, the unit chain and its oracles, and the operator
-  chains of F_k, u_k and Q_k all read their brackets from it.
+  K_{i=j+1..n}(x_i / y_i).  The general evaluator, the unit chain and its
+  oracles, and the operator chains of F_k, u_k and Q_k all read their
+  brackets from it.
   ``cf_ordinary`` alone keeps its own loop: it is built from additions and
   inversions only, as the independent oracle that ``cf_general`` is
   checked against.
@@ -35,14 +35,18 @@ Evaluation conventions, applied throughout:
   keeps its relative precision long after consecutive convergents agree
   to every digit; convergents are the partial sums
   R_{k+1} = R_k + (-1)^k w_k.
+* The oracles ``f_direct`` and ``jump_direct`` work in double precision
+  too.  They run their own forward pass over the same T_k and form
+  w_k^{-1} = G_k^{-1} (x_{k+1}^{-1} + T_k) G_k^{-T} directly, so no
+  difference of brackets is ever inverted.
 * Operator products are ordered lists of primitive maps applied right to
   left.  The adjoint of a product is the reversed list with each
   primitive replaced by its adjoint (plain <-> star, inv <-> star_inv,
   quadratic maps are self-adjoint).  Dense operator matrices are never
   formed.
 * Every matrix that gets inverted is first checked against the open-cone
-  margin (or, for signed differences, against exact invertibility), so a
-  numerically singular input fails loudly instead of propagating junk.
+  margin, so a numerically singular input fails loudly instead of
+  propagating junk.
 
 Single-shot evaluators enforce a hard depth cap of 64: at that depth the
 all-ones scalar chain is already converged to machine precision and the
@@ -66,7 +70,6 @@ from .jordan import (
     cone,
     frob_norm,
     inv_cone_raw,
-    inv_sym_raw,
     min_eig_raw,
     open_cone_test,
     rel_residual,
@@ -222,12 +225,11 @@ def _suffixes(
 
     ``ls`` are the Cholesky factors of ``arrs``; ``ys is None`` means every
     denominator is the identity.  The innermost level is ``_innermost``'s.
-    Only the first n entries are read, and the dtype of the arrays is
-    kept, so the extended-precision oracles run through the same recursion.
+    Only the first n entries are read.
     """
     acc = _innermost(arrs, ls, ys, n)
     if ys is None:
-        ys = [np.eye(acc.shape[0], dtype=acc.dtype)] * n
+        ys = [np.eye(acc.shape[0])] * n
     S: list = [None] * n
     S[n - 1] = acc
     for j in range(n - 2, -1, -1):
@@ -244,24 +246,6 @@ def _level_arrays(seq: CFSequence, n: int):
     xs = np.stack([x.mat for x in seq.xs[:n]])
     ys = np.stack([y.mat for y in seq.ys[:n]]) if seq.ys is not None else None
     return xs, _chol_raw(xs), ys
-
-
-def _chol_extended(a: np.ndarray) -> np.ndarray:
-    """Unpivoted Cholesky in extended precision, for oracle-grade evaluation."""
-    n = a.shape[0]
-    l = np.zeros((n, n), dtype=np.longdouble)
-    for i in range(n):
-        for j in range(i + 1):
-            acc = a[i, j] - (l[i, :j] * l[j, :j]).sum()
-            if j == i:
-                if acc <= 0.0:
-                    raise ConeMembershipError(
-                        f"non-positive pivot {float(acc):.3e} in extended-precision Cholesky"
-                    )
-                l[i, j] = np.sqrt(acc)
-            else:
-                l[i, j] = acc / l[j, j]
-    return l
 
 
 # ---------------------------------------------------------------------------
@@ -367,53 +351,74 @@ def w_seq(xs: Sequence[ConeElement], n: int) -> list[ConeElement]:
 # ---------------------------------------------------------------------------
 
 
+def _inverse_differences(xs: Sequence[ConeElement], k: int):
+    """w_k^{-1} and w_{k+1}^{-1} as one ``(2, r, r)`` stack, with no subtraction, for the oracles.
+
+    A forward pass over levels 1..k+1 gives T_0 = 0 and
+    T_i^{-1} = e + l_i^T T_{i-1} l_i (``l_i`` the Cholesky factor of x_i),
+    each certified before it is inverted.  Then
+    w_j^{-1} = C_j(x_{j+1}^{-1} + T_j), where C_j is the congruence by
+    l_1^{-T} T_1^{-1} ... l_j^{-T} T_j^{-1}, applied innermost factor first
+    as v -> star_inv(l_i, T_i^{-1} v T_i^{-1}).  The two inverses share C_k,
+    so it runs once over both.  Returns the stack, the numerators and their
+    factors.
+    """
+    if k < 1:
+        raise ValueError("need k >= 1")
+    _check_index(k + 2, len(xs))
+    arrs = np.stack([x.mat for x in xs[: k + 2]])
+    ls = _chol_raw(arrs)
+    e = np.eye(arrs.shape[-1])
+    ts, t_invs = [np.zeros_like(e)], []
+    for i in range(k + 1):
+        t_invs.append(e + ls[i].T @ ts[i] @ ls[i])
+        ts.append(inv_cone_raw(t_invs[i], f"oracle transfer denominator at level {i + 1}"))
+    inv = _pi_raw(ls[k : k + 2], np.broadcast_to(e, (2,) + e.shape), "star_inv") + np.stack(ts[k:])
+    # factor k+1 acts on w_{k+1}^{-1} alone; C_k then acts on both
+    inv[1] = _pi_raw(ls[k], t_invs[k] @ inv[1] @ t_invs[k], "star_inv")
+    for i in range(k - 1, -1, -1):
+        inv = _pi_raw(ls[i], t_invs[i] @ inv @ t_invs[i], "star_inv")
+    return inv, arrs, ls
+
+
 def f_direct(xs: Sequence[ConeElement], k: int) -> SymMatrix:
     """Literal two-step inverse difference
 
         ( [x_1..x_k]^{-1} - [x_1..x_{k+1}]^{-1} )^{-1}
       + ( [x_1..x_{k+1}]^{-1} - [x_1..x_{k+2}]^{-1} )^{-1}
 
-    computed straight from brackets and matrix inverses.  This is the
-    ground-truth oracle for ``f_closed``, so it runs internally in
-    extended precision: consecutive brackets agree to many digits once
-    the chain starts converging, and the subtractive cancellation in
-    double precision would otherwise eat the comparison tolerance.
+    the ground-truth oracle for ``f_closed``, in double precision.  With
+    B_m = [x_1..x_m], each term is exactly a product of brackets and an
+    inverse difference, (B_k^{-1} - B_{k+1}^{-1})^{-1} = (-1)^k B_{k+1} w_k^{-1} B_k,
+    so F_k = (-1)^k [B_{k+1} w_k^{-1} B_k - B_{k+2} w_{k+1}^{-1} B_{k+1}].
+    The w^{-1} come subtraction-free from the oracle's own forward pass.
+    Each odd bracket is its even neighbour plus a w, so the even one of
+    B_k, B_{k+1} is evaluated tail first, as ``cf_general`` evaluates it,
+    and the odd ones are formed as sums: partial sums from B_1 = x_1 would
+    form B_2 = x_1 - w_1, which cancels when B_2 is far below x_1.  Besides
+    the final difference, the one subtraction left is
+    B_{k+2} = B_{k+1} - w_{k+1} at even k.
     """
-    B = _extended_brackets(xs, k)
-    iB = [inv_cone_raw(b, f"bracket at depth {m}") for b, m in zip(B, (k, k + 1, k + 2))]
-    first = inv_sym_raw(iB[0] - iB[1], "first inverse difference")
-    second = inv_sym_raw(iB[1] - iB[2], "second inverse difference")
-    return SymMatrix(np.asarray(first + second, dtype=np.float64))
+    inv, arrs, ls = _inverse_differences(xs, k)
+    w = inv_cone_raw(inv, f"oracle differences w_{k}, w_{k + 1}")
+    if k % 2:
+        b_k1 = _suffixes(arrs, ls, None, k + 1)[0]
+        b = np.stack([b_k1 + w[0], b_k1, b_k1 + w[1]])
+    else:
+        b_k = _suffixes(arrs, ls, None, k)[0]
+        b = np.stack([b_k, b_k + w[0], b_k + w[0] - w[1]])
+    terms = b[1:] @ inv @ b[:2]
+    return SymMatrix((-1.0) ** k * (terms[0] - terms[1]))
 
 
 def jump_direct(xs: Sequence[ConeElement], k: int) -> SymMatrix:
-    """Literal jump w_{k+1}^{-1} - w_k^{-1}, computed from brackets in extended precision.
+    """Literal jump w_{k+1}^{-1} - w_k^{-1}, the ground-truth oracle for ``q_apply``.
 
-    The ground-truth oracle for ``q_apply`` at v = x_{k+2}^{-1}, kept in
-    extended precision for the same cancellation reason as ``f_direct``.
+    Both inverses come subtraction-free from the oracle's forward pass,
+    so the one difference is taken between two accurate terms.
     """
-    B = _extended_brackets(xs, k)
-    sign_k = 1.0 if k % 2 == 1 else -1.0
-    w_k = sign_k * (B[0] - B[1])
-    w_k1 = -sign_k * (B[1] - B[2])
-    jump = inv_cone_raw(w_k1, "w_{k+1}") - inv_cone_raw(w_k, "w_k")
-    return SymMatrix(np.asarray(jump, dtype=np.float64))
-
-
-def _extended_brackets(xs: Sequence[ConeElement], k: int) -> list:
-    """[x_1..x_m] for m = k, k+1, k+2, in extended precision."""
-    if np.finfo(np.longdouble).eps > 1e-18:
-        # where longdouble is double, the oracles would silently lose their margin
-        raise ArithmeticError(
-            "np.longdouble is no wider than double on this platform; "
-            "the extended-precision oracles need at least 64 mantissa bits"
-        )
-    if k < 1:
-        raise ValueError("need k >= 1")
-    _check_index(k + 2, len(xs))
-    arrs = [x.mat.astype(np.longdouble) for x in xs[: k + 2]]
-    ls = [_chol_extended(a) for a in arrs]
-    return [_suffixes(arrs, ls, None, m)[0] for m in (k, k + 1, k + 2)]
+    inv = _inverse_differences(xs, k)[0]
+    return SymMatrix(inv[1] - inv[0])
 
 
 def _u_raw(

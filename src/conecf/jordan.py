@@ -6,11 +6,8 @@ ordered by the Loewner order.  Everything is small and dense (workflows
 stay at rank <= 16), and every operation is a pure function over
 immutable values.
 
-All eigen work goes through ``_jacobi``: closed forms at rank <= 2 and
-LAPACK at rank >= 3.  The extended-precision oracles need ``np.longdouble``
-only for their inverses, so ``inv_cone_raw``/``inv_sym_raw`` refine the
-double-precision inverse of a longdouble array with two Newton steps in
-longdouble.
+All eigen work goes through ``_jacobi``, in double precision: closed
+forms at rank <= 2 and LAPACK at rank >= 3.
 
 The raw-array primitives (``_jacobi``, ``inv_cone_raw``, ``min_eig_raw``,
 ``frob_norm``, ``open_cone_test``, ``closed_cone_test``) take one matrix
@@ -44,13 +41,11 @@ __all__ = [
     "inverse",
     "in_cone",
     "cone",
-    "cone_less",
     "closed_cone_test",
     "eigenvalues_dominate",
     "min_eig_raw",
     "open_cone_test",
     "inv_cone_raw",
-    "inv_sym_raw",
     "frob_norm",
     "rel_residual",
     "to_json_dict",
@@ -62,9 +57,6 @@ ASSERT_TOL = 1e-8   # closed-cone margin, -ASSERT_TOL * (1 + ||d||); see closed_
 
 # Constructors reject this much asymmetry as user error rather than round-off.
 _SYM_REJECT_TOL = 1e-9
-# Inverting a symmetric matrix fails when min |eigenvalue| <= _SINGULAR_TOL * max |eigenvalue|.
-_SINGULAR_TOL = 1e-13
-_FLOAT64, _LONGDOUBLE = np.dtype(np.float64), np.dtype(np.longdouble)
 
 
 class ConeMembershipError(ValueError):
@@ -191,19 +183,16 @@ def quad_rep_apply(x: SymMatrix, y: SymMatrix) -> SymMatrix:
 def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a symmetric matrix, or of each in a ``(..., r, r)`` stack.
 
-    The package's one eigen entry point.  Rank 1 and 2 use closed forms
-    (one rotation diagonalizes a 2x2 exactly), evaluated elementwise over
-    the stack in the input's dtype (double for anything but longdouble).
-    Rank >= 3 goes to LAPACK (``np.linalg.eigh``) on the double-precision
-    cast, so ``np.longdouble`` input gets double eigenpairs there; the
-    inverse helpers refine those back to longdouble.  Returns the raw
-    eigenvalues along the last axis (in no promised order) and the
-    orthogonal column bases.  Raises EigenConvergenceError when the solver
-    fails or an eigenvalue is not finite.
+    The package's one eigen entry point, in double precision.  Rank 1 and 2
+    use closed forms (one rotation diagonalizes a 2x2 exactly), evaluated
+    elementwise over the stack; rank >= 3 goes to LAPACK
+    (``np.linalg.eigh``).  Returns the raw eigenvalues along the last axis
+    (in no promised order) and the orthogonal column bases.  Raises
+    EigenConvergenceError when the solver fails or an eigenvalue is not
+    finite.
     """
+    a = np.asarray(a, dtype=np.float64)
     n = a.shape[-1]
-    if a.dtype not in (_FLOAT64, _LONGDOUBLE):
-        a = a.astype(np.float64)
     if n == 1:
         return a[..., 0].copy(), np.ones_like(a)
     if n == 2:
@@ -221,7 +210,7 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         t = (t - 2.0 * t * (theta < 0.0)) * nz
         c = 1.0 / np.sqrt(t * t + 1.0)
         s = t * c
-        vals = np.empty(a.shape[:-1], dtype=a.dtype)
+        vals = np.empty(a.shape[:-1])
         vals[..., 0] = app - t * apq
         vals[..., 1] = aqq + t * apq
         vecs = np.empty_like(a)
@@ -230,7 +219,7 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vecs[..., 1, 0] = 0.0 - s
         return vals, vecs
     try:
-        w, v = np.linalg.eigh(a.astype(np.float64, copy=False))
+        w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"LAPACK eigensolver failed: {exc}") from exc
     # eigh passes NaN through silently, and a NaN smallest eigenvalue
@@ -324,36 +313,8 @@ def inv_cone_raw(a: np.ndarray, what: str) -> np.ndarray:
     """
     w, v = _jacobi(a)
     _open_cone_min(w, what)
-    return _inverse_from(a, w, v)
-
-
-def inv_sym_raw(a: np.ndarray, what: str) -> np.ndarray:
-    """Inverse of a raw symmetric, possibly indefinite, array via its spectrum."""
-    w, v = _jacobi(a)
-    if np.abs(w).min() <= _SINGULAR_TOL * np.abs(w).max():
-        raise ArithmeticError(f"{what} is singular within tolerance; degenerate numerics")
-    return _inverse_from(a, w, v)
-
-
-def _inverse_from(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Inverse of ``a`` from its eigenpairs, refined when they are less precise than ``a``.
-
-    LAPACK eigenpairs of a longdouble array are double precision; two
-    Newton-Schulz steps X <- X + sym(X (I - A X)) in longdouble, with
-    sym(Y) = (Y + Y^T)/2, bring the inverse to the longdouble rounding
-    floor for every condition number below about 3e14.  Both callers
-    stay far below that at every scale: the relative cone margin caps it
-    at 1e10 and the relative ``_SINGULAR_TOL`` test at 1e13.
-    """
     inv = (v / w[..., None, :]) @ v.swapaxes(-1, -2)
-    inv = (inv + inv.swapaxes(-1, -2)) / 2.0
-    if a.dtype == _LONGDOUBLE and w.dtype != _LONGDOUBLE:
-        inv = inv.astype(a.dtype)
-        eye = np.eye(a.shape[-1], dtype=a.dtype)
-        for _ in range(2):
-            step = inv @ (eye - a @ inv)
-            inv = inv + (step + step.swapaxes(-1, -2)) / 2.0
-    return inv
+    return (inv + inv.swapaxes(-1, -2)) / 2.0
 
 
 def frob_norm(x):
@@ -387,12 +348,6 @@ def in_cone(x: SymMatrix) -> Optional[ConeElement]:
 def cone(x: SymMatrix, what: str = "matrix") -> ConeElement:
     """Like in_cone but raising ConeMembershipError, naming ``what``, on the negative answer."""
     return ConeElement(x, _open_cone_min(_jacobi(x.mat)[0], what))
-
-
-def cone_less(x: SymMatrix, y: SymMatrix) -> bool:
-    """Loewner order: x < y iff y - x is positive definite."""
-    _check_same_rank(x, y)
-    return in_cone(SymMatrix(y.mat - x.mat)) is not None
 
 
 def closed_cone_test(d: np.ndarray):

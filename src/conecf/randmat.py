@@ -89,12 +89,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         return self._gen
 
-    def fork(self) -> "RngStream":
-        """A copy that continues from the current position independently."""
-        child = RngStream(self.master_seed, self.stream_id)
-        child._gen.bit_generator.state = self._gen.bit_generator.state
-        return child
-
 
 def split_stream(rng: RngStream, index: int) -> RngStream:
     """Deterministically derive an independent child stream.

@@ -8,6 +8,7 @@ from conecf import (
     CFSequence,
     ConeMembershipError,
     ConvergentTrace,
+    RngStream,
     SymMatrix,
     TraceRecord,
     bracket,
@@ -24,15 +25,17 @@ from conecf import (
     pi_apply,
     q_apply,
     rel_residual,
+    sample_wishart,
+    split_stream,
     to_ordinary,
     trace_cf,
     u_vec,
     w_seq,
     zero,
 )
-from conecf.contfrac import DEPTH_CAP, _chol_extended, _differences, _u_raw, trace_differences
+from conecf.contfrac import DEPTH_CAP, _differences, _u_raw, trace_differences
 from conecf.division import _chol_raw
-from conecf.jordan import ASSERT_TOL, _jacobi, inv_cone_raw, inv_sym_raw
+from conecf.jordan import ASSERT_TOL, _jacobi
 
 from helpers import make_spd
 
@@ -323,54 +326,6 @@ class TestJumpOperator:
             jump_direct(ones(3), 2)
 
 
-class TestExtendedPrecisionHelpers:
-    def test_extended_cholesky_matches_double(self, rng):
-        for r in (1, 2, 3, 4):
-            a = make_spd(r, rng).mat
-            l64 = np.linalg.cholesky(a)
-            lext = _chol_extended(a.astype(np.longdouble))
-            assert np.allclose(np.asarray(lext, dtype=float), l64, rtol=1e-13)
-
-    def test_oracles_invert_in_extended_precision(self, rng, monkeypatch):
-        # every inverse the oracles take, the closed-form 2x2 ones and the
-        # refined LAPACK ones at rank 3, is a longdouble array
-        seen = []
-
-        def recording(invert):
-            def wrapped(a, what):
-                out = invert(a, what)
-                seen.append(out.dtype)
-                return out
-
-            return wrapped
-
-        monkeypatch.setattr("conecf.contfrac.inv_cone_raw", recording(inv_cone_raw))
-        monkeypatch.setattr("conecf.contfrac.inv_sym_raw", recording(inv_sym_raw))
-        for r in (2, 3):
-            xs = tuple(make_spd(r, rng) for _ in range(6))
-            f_direct(xs, 3)
-            jump_direct(xs, 3)
-        assert len(seen) > 20 and set(seen) == {np.dtype(np.longdouble)}
-
-    def test_oracles_refuse_a_double_width_longdouble(self, monkeypatch):
-        # where longdouble is double, the oracles would lose their margin
-        # silently; they must say so instead
-        real_finfo = np.finfo
-
-        def finfo(t):
-            return real_finfo(np.float64 if np.dtype(t) == np.dtype(np.longdouble) else t)
-
-        monkeypatch.setattr(np, "finfo", finfo)
-        with pytest.raises(ArithmeticError, match="longdouble"):
-            f_direct(ones(3), 1)
-        with pytest.raises(ArithmeticError, match="longdouble"):
-            jump_direct(ones(3), 1)
-
-    def test_extended_cholesky_rejects_indefinite(self):
-        with pytest.raises(ConeMembershipError):
-            _chol_extended(np.array([[1.0, 2.0], [2.0, 1.0]], dtype=np.longdouble))
-
-
 class TestTrace:
     def test_unit_trace_matches_brackets(self):
         xs = ones(10)
@@ -491,8 +446,11 @@ def wishart_array(rng: np.random.Generator, r: int) -> np.ndarray:
     return (x + x.T) / 2.0
 
 
-def mp_differences(xs, ys, depth: int, dps: int = 60) -> list:
-    """Reference w_1..w_{depth-1}: tail-first convergents in ``dps`` digits, differenced."""
+def mp_differences(xs, ys, depth: int, dps: int = 60) -> tuple[list, list]:
+    """Reference convergents R_1..R_depth, tail first in ``dps`` digits, and their differences w_k.
+
+    The entries keep ``dps`` digits only inside ``mpmath.workdps(dps)``.
+    """
     with mpmath.workdps(dps):
         ls = [mpmath.cholesky(mpmath.matrix(x.tolist())) for x in xs[:depth]]
         if ys is None:
@@ -505,7 +463,12 @@ def mp_differences(xs, ys, depth: int, dps: int = 60) -> list:
             for j in range(n - 2, -1, -1):
                 acc = ls[j] * mpmath.inverse(ymat[j] + acc) * ls[j].T
             convs.append(acc)
-        return [(convs[k - 1] - convs[k]) * (1 if k % 2 == 1 else -1) for k in range(1, depth)]
+        return convs, [(convs[k - 1] - convs[k]) * (1 if k % 2 == 1 else -1) for k in range(1, depth)]
+
+
+def mp_rel_error(got: np.ndarray, ref) -> float:
+    """Frobenius error of ``got`` relative to the mpmath matrix ``ref``, at the working precision."""
+    return float(mpmath.mnorm(mpmath.matrix(got.tolist()) - ref, "f") / mpmath.mnorm(ref, "f"))
 
 
 class TestTraceAccuracy:
@@ -520,12 +483,12 @@ class TestTraceAccuracy:
             tuple(cone(SymMatrix(x)) for x in xs),
             None if ys is None else tuple(cone(SymMatrix(y)) for y in ys),
         )
-        refs = mp_differences(xs, ys, depth)
+        refs = mp_differences(xs, ys, depth)[1]
         trace = trace_cf(seq, depth)
         with mpmath.workdps(60):
             for rec, ref in zip(trace.records, refs):
-                err = mpmath.mnorm(mpmath.matrix(rec.w.mat.tolist()) - ref, "f") / mpmath.mnorm(ref, "f")
-                assert err < 1e-8, (rec.k, float(err))
+                err = mp_rel_error(rec.w.mat, ref)
+                assert err < 1e-8, (rec.k, err)
 
     def test_seqfile_case_where_the_unnormalised_row_block_is_singular(self):
         # seqfile-r3's file at seed 101, batch 68: head, then 64 xs, then 64 ys
@@ -554,6 +517,29 @@ class TestTraceAccuracy:
         trace = trace_cf(seq, 64)
         for rec in trace.records:
             assert rel_residual(rec.convergent, cf_general(seq, rec.k)) <= 1e-9, rec.k
+
+
+class TestOracleAccuracy:
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_oracles_match_a_50_digit_reference(self, r):
+        # criterion 4's stream at this rank.  The bound fails the naive double
+        # oracle (brackets subtracted, then inverted) at every rank: on these
+        # cases its F reaches 5.0e-13, 4.3e-11 and 1.6e-10 at ranks 1, 2 and 3,
+        # and its jump 5.3e-13, 3.7e-11 and 1.4e-10.
+        stream = split_stream(RngStream(40 + r), 0)
+        for _ in range(20):
+            xs = tuple(sample_wishart(3.0, r, stream) for _ in range(10))
+            with mpmath.workdps(50):
+                convs, ws = mp_differences([x.mat for x in xs], None, 10, dps=50)
+                for k in range(1, 9):
+                    ib = [mpmath.inverse(convs[m - 1]) for m in (k, k + 1, k + 2)]
+                    ref = mpmath.inverse(ib[0] - ib[1]) + mpmath.inverse(ib[1] - ib[2])
+                    err = mp_rel_error(f_direct(xs, k).mat, ref)
+                    assert err < 1e-13, ("f_direct", k, err)
+                    if k >= 2:
+                        ref = mpmath.inverse(ws[k]) - mpmath.inverse(ws[k - 1])
+                        err = mp_rel_error(jump_direct(xs, k).mat, ref)
+                        assert err < 1e-13, ("jump_direct", k, err)
 
 
 class TestTypes:

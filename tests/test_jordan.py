@@ -1,4 +1,3 @@
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +7,6 @@ from conecf import (
     ConeMembershipError,
     SymMatrix,
     cone,
-    cone_less,
     frob_norm,
     from_json_dict,
     identity,
@@ -28,7 +26,6 @@ from conecf.jordan import (
     _jacobi,
     closed_cone_test,
     inv_cone_raw,
-    inv_sym_raw,
     min_eig_raw,
     open_cone_test,
 )
@@ -166,41 +163,6 @@ class TestSpectral:
                 w, _ = _jacobi(a)
                 assert np.allclose(np.sort(w), np.linalg.eigvalsh(a), atol=tol)
 
-    def test_refined_longdouble_inverse(self, rng):
-        # the oracles' longdouble inverses come from double eigenpairs
-        # refined in longdouble; they must reach the longdouble floor,
-        # 10 eps(longdouble) cond relative, against a 40-digit reference,
-        # which neither the unrefined double inverse nor a refinement
-        # against the double-rounded matrix can
-        eps = float(np.finfo(np.longdouble).eps)
-
-        def exact(m):
-            # each longdouble entry as the exact binary fraction it holds
-            return mpmath.matrix([[mpmath.mpf(n) / d for n, d in (t.as_integer_ratio() for t in row)]
-                                  for row in m])
-
-        def spread(r, signs):
-            # a random orthogonal basis with eigenvalues spanning 1e-7..1
-            q, _ = np.linalg.qr(rng.normal(size=(r, r)))
-            m = (q * (signs * np.logspace(-7, 0, r))) @ q.T
-            return (m + m.T) / 2.0
-
-        for r in (3, 4, 6):
-            signs = np.where(np.arange(r) % 2 == 0, 1.0, -1.0)
-            cases = [(make_spd(r, rng).mat, inv_cone_raw) for _ in range(8)]
-            cases += [(make_sym(r, rng, scale=2.0).mat, inv_sym_raw) for _ in range(8)]
-            cases += [(spread(r, np.ones(r)), inv_cone_raw), (spread(r, signs), inv_sym_raw)]
-            for a64, invert in cases:
-                # dividing by 3 in longdouble leaves entries double cannot hold
-                a = a64.astype(np.longdouble) / np.longdouble(3)
-                got = invert(a, "test matrix")
-                assert got.dtype == np.longdouble
-                with mpmath.workdps(40):
-                    ref = mpmath.inverse(exact(a))
-                    rel = float(mpmath.mnorm(exact(got) - ref, "f") / mpmath.mnorm(ref, "f"))
-                lam = np.abs(np.linalg.eigvalsh(np.asarray(a, dtype=np.float64)))
-                assert rel <= 10.0 * eps * (lam.max() / lam.min())
-
     def test_non_finite_input_raises(self):
         a = np.eye(3)
         a[0, 1] = a[1, 0] = np.nan
@@ -298,17 +260,8 @@ class TestCone:
         g = np.random.default_rng(seed)
         x = make_spd(r, g)
         y = cone(SymMatrix(x.mat + make_spd(r, g).mat))
-        assert cone_less(x.m, y.m)
-        assert cone_less(inverse(y).m, inverse(x).m)
-
-
-class TestConeLess:
-    def test_identity_doubling(self):
-        assert cone_less(identity(2).m, SymMatrix(2 * np.eye(2)))
-        assert not cone_less(SymMatrix(2 * np.eye(2)), identity(2).m)
-
-    def test_derived_difference(self):
-        assert cone_less(identity(2).m, sym([[3, 1], [1, 3]]))
+        assert in_cone(SymMatrix(y.mat - x.mat)) is not None
+        assert in_cone(SymMatrix(inverse(x).mat - inverse(y).mat)) is not None
 
 
 class TestFrobNorm:
@@ -416,11 +369,9 @@ class TestScale:
     @pytest.mark.parametrize("r", [2, 3])
     def test_inverses_scale_inversely(self, s, r, rng):
         a = make_spd(r, rng).mat + np.eye(r)
-        b = a - 2.0 * np.trace(a) / r * np.outer(np.eye(r)[0], np.eye(r)[0])
-        for inv, m in ((inv_cone_raw, a), (inv_sym_raw, b)):
-            want = inv(m, "unscaled")
-            got = s * inv(s * m, "scaled")
-            assert frob_norm(got - want) <= 1e-12 * frob_norm(want)
+        want = inv_cone_raw(a, "unscaled")
+        got = s * inv_cone_raw(s * a, "scaled")
+        assert frob_norm(got - want) <= 1e-12 * frob_norm(want)
 
     @pytest.mark.parametrize("s", [1e200, 1e308, 1.5e308])
     def test_diagonal_spread_past_the_double_range(self, s):

@@ -5,7 +5,8 @@ triangular congruences, randmat the sampling, contfrac the tail-first
 kernel.  A sibling that needs one goes through a public name.  jordan also
 owns the certification policy: no other module names its tolerances.
 numpy is the only runtime dependency: nothing under the package imports
-scipy, directly or through another package.
+scipy, directly or through another package.  Everything computes in
+double precision: no module names numpy's longdouble.
 """
 
 import ast
@@ -40,11 +41,11 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert offenders == {}
 
 
-POLICY_NAMES = {"CONE_TOL", "ASSERT_TOL", "_SINGULAR_TOL"}
+POLICY_NAMES = {"CONE_TOL", "ASSERT_TOL"}
 
 
-def policy_references(path: Path) -> set[str]:
-    """Certification tolerances named anywhere in a module: as a name, an attribute or an import."""
+def mentioned_names(path: Path) -> set[str]:
+    """Every identifier a module mentions: as a name, an attribute or an import."""
     found = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Name):
@@ -53,14 +54,14 @@ def policy_references(path: Path) -> set[str]:
             found.add(node.attr)
         elif isinstance(node, ast.alias):
             found.add(node.name)
-    return found & POLICY_NAMES
+    return found
 
 
 def test_only_jordan_names_the_certification_tolerances():
     offenders = {
         path.name: sorted(names)
         for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "jordan.py" and (names := policy_references(path))
+        if path.name != "jordan.py" and (names := mentioned_names(path) & POLICY_NAMES)
     }
     assert offenders == {}
 
@@ -84,6 +85,11 @@ def imported_roots(path: Path) -> set[str]:
 
 def test_no_module_imports_scipy():
     offenders = sorted(path.name for path in sorted(PACKAGE.glob("*.py")) if "scipy" in imported_roots(path))
+    assert offenders == []
+
+
+def test_no_module_names_longdouble():
+    offenders = sorted(path.name for path in PACKAGE.glob("*.py") if "longdouble" in mentioned_names(path))
     assert offenders == []
 
 

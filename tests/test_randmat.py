@@ -305,12 +305,6 @@ class TestStreams:
         y = sample_beta2(Beta2Params(2.0, 3.0, 1), split_stream(RngStream(1), 4))
         assert np.array_equal(x.mat, y.mat)
 
-    def test_fork_preserves_position(self):
-        a = RngStream(77)
-        a.generator.random(10)
-        b = a.fork()
-        assert np.array_equal(a.generator.random(20), b.generator.random(20))
-
     def test_cross_correlation_small(self):
         root = RngStream(1234)
         xa = split_stream(root, 0).generator.standard_normal(10_000)
