@@ -21,6 +21,15 @@ Evaluation conventions, applied throughout:
   ``cf_ordinary`` alone keeps its own loop: it is built from additions and
   inversions only, as the independent oracle that ``cf_general`` is
   checked against.
+* The tail-first kernels take level-major stacks: indexed by level, each
+  entry is one matrix or a ``(cases, r, r)`` stack, so a whole
+  ``(levels, cases, r, r)`` array of independent sequences advances one
+  level per call.  ``cf_general_raw``, ``to_ordinary_raw``,
+  ``cf_ordinary_raw``, ``u_raw`` and ``w_seq_raw`` (case-major, like the
+  trace) are those kernels; ``cf_general``, ``to_ordinary``,
+  ``cf_ordinary``, ``u_vec`` and ``w_seq`` are their one-sequence cases.
+  Each case of a stack gets bit for bit what it gets alone, which is
+  what lets the identity suite evaluate its cases as stacks.
 * Traces run forward, once over the levels, for a whole stack of
   sequences at once (``_differences``; ``trace_cf`` is its one-sequence
   case, and ``trace_differences`` certifies a raw stack of unit-quotient
@@ -73,6 +82,7 @@ from .jordan import (
     min_eig_raw,
     open_cone_test,
     rel_residual,
+    sym_raw,
 )
 
 __all__ = [
@@ -81,14 +91,19 @@ __all__ = [
     "TraceRecord",
     "ConvergentTrace",
     "cf_general",
+    "cf_general_raw",
     "cf_ordinary",
+    "cf_ordinary_raw",
     "to_ordinary",
+    "to_ordinary_raw",
     "bracket",
     "w_seq",
+    "w_seq_raw",
     "f_direct",
     "jump_direct",
     "f_closed",
     "u_vec",
+    "u_raw",
     "q_apply",
     "trace_cf",
     "trace_differences",
@@ -223,13 +238,15 @@ def _suffixes(
 ) -> list:
     """Every suffix value S[j] = K_{i=j+1..n}(x_i / y_i), j = 0..n-1, in one backward pass.
 
-    ``ls`` are the Cholesky factors of ``arrs``; ``ys is None`` means every
-    denominator is the identity.  The innermost level is ``_innermost``'s.
-    Only the first n entries are read.
+    Indexed by level - 1, each entry is one matrix or a ``(cases, r, r)``
+    stack, so ``arrs`` may be a level-major ``(levels, cases, r, r)`` array
+    and every case advances together.  ``ls`` are the Cholesky factors of
+    ``arrs``; ``ys is None`` means every denominator is the identity.  The
+    innermost level is ``_innermost``'s.  Only the first n entries are read.
     """
     acc = _innermost(arrs, ls, ys, n)
     if ys is None:
-        ys = [np.eye(acc.shape[0])] * n
+        ys = [np.eye(acc.shape[-1])] * n
     S: list = [None] * n
     S[n - 1] = acc
     for j in range(n - 2, -1, -1):
@@ -253,62 +270,109 @@ def _level_arrays(seq: CFSequence, n: int):
 # ---------------------------------------------------------------------------
 
 
+def cf_general_raw(
+    xs: np.ndarray, ls: np.ndarray, ys: Optional[np.ndarray], head: Optional[np.ndarray]
+) -> np.ndarray:
+    """The last convergent of K(x_n / y_n) over every level given, for one sequence or a stack.
+
+    ``xs``, their Cholesky factors ``ls`` and the denominators ``ys`` (None
+    for unit denominators) are level-major ``(n, r, r)`` or
+    ``(n, cases, r, r)`` arrays; ``head`` is y_0 (None for zero), one
+    matrix or a ``(cases, r, r)`` stack.  Returns the n-th convergent of
+    each case, symmetrized as SymMatrix symmetrizes, bit for bit what the
+    case gives alone.  The first inversion outside the open cone raises,
+    naming the level (and the case's stack index).
+    """
+    acc = _suffixes(xs, ls, ys, len(xs))[0]
+    if head is not None:
+        acc = head + acc
+    return sym_raw(acc)
+
+
 def cf_general(seq: CFSequence, n: int) -> SymMatrix:
     """The n-th convergent of K(x_n / y_n), evaluated tail first.
 
     Every matrix inverted along the way is verified inside the open cone;
-    a breach raises ConeMembershipError.
+    a breach raises ConeMembershipError.  The one-sequence case of
+    ``cf_general_raw``.
     """
     _check_index(n, len(seq.xs))
-    acc = _suffixes(*_level_arrays(seq, n), n)[0]
-    if seq.head is not None:
-        acc = seq.head.mat + acc
-    return SymMatrix(acc)
+    head = seq.head.mat if seq.head is not None else None
+    return SymMatrix(cf_general_raw(*_level_arrays(seq, n), head))
+
+
+def cf_ordinary_raw(y0: Optional[np.ndarray], a: np.ndarray) -> np.ndarray:
+    """The n-th convergent of an ordinary continued fraction y0 + K(e / a_n), n = len(a).
+
+    Built backward from additions and inversions only; no division maps
+    are applied.  ``a`` is a level-major ``(n, r, r)`` or
+    ``(n, cases, r, r)`` array of terms and ``y0`` one matrix, a
+    ``(cases, r, r)`` stack or None (zero).  Each case's result,
+    symmetrized as SymMatrix symmetrizes, is bit for bit what it gives
+    alone; an inversion outside the open cone raises, naming the level.
+    """
+    acc = np.zeros_like(a[0])
+    for j in range(len(a) - 1, -1, -1):
+        acc = inv_cone_raw(a[j] + acc, f"ordinary term at level {j + 1}")
+    if y0 is not None:
+        acc = y0 + acc
+    return sym_raw(acc)
 
 
 def cf_ordinary(y0, a: Sequence, n: int) -> SymMatrix:
     """The n-th convergent of an ordinary continued fraction.
 
-    Built backward from additions and inversions only; no division maps
-    are applied.  ``y0`` may be None (treated as zero), and the terms may
-    be ConeElement or SymMatrix values.
+    ``y0`` may be None (treated as zero), and the terms may be ConeElement
+    or SymMatrix values.  The one-sequence case of ``cf_ordinary_raw``.
     """
     _check_index(n, len(a))
-    arrs = [v.mat for v in a[:n]]
-    acc = np.zeros_like(arrs[0])
-    for j in range(n - 1, -1, -1):
-        acc = inv_cone_raw(arrs[j] + acc, f"ordinary term at level {j + 1}")
-    if y0 is not None:
-        acc = y0.mat + acc
-    return SymMatrix(acc)
+    head = y0.mat if y0 is not None else None
+    return SymMatrix(cf_ordinary_raw(head, np.stack([v.mat for v in a[:n]])))
+
+
+def to_ordinary_raw(ls: np.ndarray, ys: Optional[np.ndarray]) -> np.ndarray:
+    """Terms a_1, ..., a_n of the equivalent ordinary continued fraction, of one sequence or a stack.
+
+    ``ls`` holds the Cholesky factors of the numerators and ``ys`` the
+    denominators (None for unit denominators), level-major ``(n, r, r)``
+    or ``(n, cases, r, r)`` arrays; the terms come back in the same shape.
+    a_m applies an alternating composition of the division maps of
+    x_1, ..., x_m to y_m: position i carries star_inv when i and m have
+    equal parity and plain otherwise, so the innermost factor is always
+    the star_inv of x_m.  Level i's factor acts on every term a_m, m >= i,
+    at once (one star_inv and one plain call per level), from level n
+    down, so each term sees its factors in the order above.  Each term is
+    symmetrized as SymMatrix symmetrizes and is bit for bit what its case
+    gives alone.  A term that leaves the double range raises
+    ArithmeticError naming the term and the level.
+    """
+    n = len(ls)
+    v = np.array(np.broadcast_to(np.eye(ls.shape[-1]), ls.shape) if ys is None else ys)
+    # a term that overflows is reported below, after the later levels ran on it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n, 0, -1):
+            v[i - 1 :: 2] = _pi_raw(ls[i - 1], v[i - 1 :: 2], "star_inv")
+            if i < n:
+                v[i::2] = _pi_raw(ls[i - 1], v[i::2], "plain")
+    finite = np.isfinite(v).reshape(n, -1).all(axis=1)
+    if not finite.all():
+        m = int(np.argmin(finite)) + 1
+        raise ArithmeticError(f"ordinary term a_{m} at level {m} overflows")
+    return sym_raw(v)
 
 
 def to_ordinary(seq: CFSequence) -> list[SymMatrix]:
     """Terms (a_0, a_1, ..., a_n) of the equivalent ordinary continued fraction.
 
-    a_m applies an alternating composition of the division maps of
-    x_1, ..., x_m to y_m: position i carries star_inv when i and m have
-    equal parity and plain otherwise, so the innermost factor is always
-    the star_inv of x_m.  The binding contract is the convergent-by-
-    convergent agreement with ``cf_general``.  A term that leaves the
-    double range raises ArithmeticError naming the term and the level.
+    a_0 is the head (zero without one) and a_1..a_n are
+    ``to_ordinary_raw``'s.  The binding contract is the convergent-by-
+    convergent agreement with ``cf_general``.
     """
     n = len(seq.xs)
     _check_index(n, n)
-    r = seq.r
     _, ls, ys = _level_arrays(seq, n)
-    if ys is None:
-        ys = [np.eye(r)] * n
-    out = [seq.head.m if seq.head is not None else SymMatrix(np.zeros((r, r)))]
-    for m in range(1, n + 1):
-        v = ys[m - 1]
-        for i in range(m, 0, -1):
-            mode = "star_inv" if (i - m) % 2 == 0 else "plain"
-            v = _pi_raw(ls[i - 1], v, mode)
-        if not np.isfinite(v).all():
-            raise ArithmeticError(f"ordinary term a_{m} at level {m} overflows")
-        out.append(SymMatrix(v))
-    return out
+    head = seq.head.m if seq.head is not None else SymMatrix(np.zeros((seq.r, seq.r)))
+    return [head] + [SymMatrix(a) for a in to_ordinary_raw(ls, ys)]
 
 
 def bracket(xs: Sequence[ConeElement], k: int) -> ConeElement:
@@ -323,27 +387,50 @@ def bracket(xs: Sequence[ConeElement], k: int) -> ConeElement:
     return cone(cf_general(CFSequence(tuple(xs[:k])), k))
 
 
+def w_seq_raw(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Alternating differences of a stack of unit chains, and which chains have all of them in the cone.
+
+    ``xs`` is a case-major ``(cases, n, r, r)`` array of certified
+    numerators, n >= 2.  Returns the ``(cases, n - 1, r, r)`` differences
+    w_k = (-1)^{k+1}([x_1..x_k] - [x_1..x_{k+1}]) from one forward trace
+    (``_differences``), bit for bit those of each chain alone, and a
+    ``(cases,)`` mask of the chains whose every w_k clears the open-cone
+    margin (the sign alternation makes them positive definite).  For each
+    chain in the mask the telescoping partial-sum identity
+    [x_1..x_n] = x_1 + sum_k (-1)^k w_k is asserted to 1e-10 against the
+    tail-first ``cf_general_raw``.
+    """
+    n = xs.shape[1]
+    ls = _chol_raw(xs)
+    ws = _differences(ls, None)
+    certified = open_cone_test(ws)[1].all(axis=1)
+    conv = xs[:, 0]
+    for k in range(1, n):
+        conv = conv + (-1.0 if k % 2 == 1 else 1.0) * ws[:, k - 1]
+    bracket_n = cf_general_raw(xs.swapaxes(0, 1), ls.swapaxes(0, 1), None, None)
+    resid = rel_residual(sym_raw(conv), bracket_n)
+    breached = certified & (resid > 1e-10)
+    if breached.any():
+        raise ArithmeticError(
+            f"partial-sum identity residual {resid[breached][0]:.3e} exceeds 1e-10 at n={n}"
+        )
+    return ws, certified
+
+
 def w_seq(xs: Sequence[ConeElement], n: int) -> list[ConeElement]:
     """Alternating differences w_k = (-1)^{k+1}([x_1..x_k] - [x_1..x_{k+1}]), k < n.
 
     Each difference is certified in the cone (the sign alternation makes
     it positive definite); a certification failure means the alternation
     was breached numerically and raises with diagnostics.  The telescoping
-    partial-sum identity [x_1..x_n] = x_1 + sum_k (-1)^k w_k is asserted
-    to 1e-10 against the tail-first ``cf_general`` before returning.
+    partial-sum identity is asserted as ``w_seq_raw`` asserts it, of which
+    this is the one-chain case.
     """
     if n < 2:
         raise ValueError("need n >= 2 to form a difference")
     _check_index(n, len(xs))
-    seq = CFSequence(tuple(xs[:n]))
-    records = trace_cf(seq, n).records
-    ws = [cone(rec.w, f"signed difference w_{rec.k}") for rec in records[:-1]]
-    resid = rel_residual(records[-1].convergent, cf_general(seq, n))
-    if resid > 1e-10:
-        raise ArithmeticError(
-            f"partial-sum identity residual {resid:.3e} exceeds 1e-10 at n={n}"
-        )
-    return ws
+    ws = w_seq_raw(np.stack([x.mat for x in xs[:n]])[None])[0][0]
+    return [cone(SymMatrix(w), f"signed difference w_{k}") for k, w in enumerate(ws, start=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +508,7 @@ def jump_direct(xs: Sequence[ConeElement], k: int) -> SymMatrix:
     return SymMatrix(inv[1] - inv[0])
 
 
-def _u_raw(
+def u_raw(
     zarrs: Sequence[np.ndarray], zls: Sequence[np.ndarray], m: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tail correction pair (H, u) at index m over the m+1 leading entries.
@@ -430,10 +517,13 @@ def _u_raw(
         quad((e + [z_{m-j}..z_m])^{-1}) ) (e + [z_{m-i}..z_m])
 
     with the largest-j factor acting first, and u = e + star(z_{m+1}) H.
-    The sum is evaluated literally, term by term.
+    The sum is evaluated literally, term by term.  ``zarrs`` and their
+    Cholesky factors ``zls`` are indexed by level - 1, and may be
+    level-major ``(levels, cases, r, r)`` arrays: every case then advances
+    together, each bit for bit as it would alone, and H and u come back
+    as ``(cases, r, r)`` stacks.
     """
-    r = zarrs[0].shape[0]
-    e = np.eye(r)
+    e = np.eye(zarrs[0].shape[-1])
     T = _suffixes(zarrs, zls, None, m)  # T[j] = [z_{j+1} .. z_m]
     inv_cache: dict[int, np.ndarray] = {}
     H = e.copy()
@@ -449,7 +539,7 @@ def _u_raw(
             v = _pi_raw(zls[start - 1], v, "star")
         H = H + ((-1.0) ** (i + 1)) * v
     u = e + _pi_raw(zls[m], H, "star")
-    return (H + H.T) / 2.0, (u + u.T) / 2.0
+    return (H + H.swapaxes(-1, -2)) / 2.0, (u + u.swapaxes(-1, -2)) / 2.0
 
 
 def u_vec(xs: Sequence[ConeElement], k: int) -> ConeElement:
@@ -462,9 +552,8 @@ def u_vec(xs: Sequence[ConeElement], k: int) -> ConeElement:
     if k < 3:
         raise ValueError("need k >= 3 (the inner sum starts at i = 0 <= k - 3)")
     _check_index(k + 1, len(xs))
-    zarrs = [x.mat for x in xs[: k + 1]]
-    zls = [_chol_raw(a) for a in zarrs]
-    H, u = _u_raw(zarrs, zls, k)
+    zarrs = np.stack([x.mat for x in xs[: k + 1]])
+    H, u = u_raw(zarrs, _chol_raw(zarrs), k)
     cone(SymMatrix(H), f"tail correction H at k={k}")
     return cone(SymMatrix(u), f"u_{k}")
 
@@ -480,7 +569,7 @@ def _f_closed_chain(arrs, ls, k: int):
     for i in range(2, k):
         chain.append(("star_inv", ls[i - 1]))
         chain.append(("quad", e + S[i]))
-    _, u = _u_raw(arrs[: k + 1], ls[: k + 1], k)
+    _, u = u_raw(arrs[: k + 1], ls[: k + 1], k)
     chain += [("star_inv", ls[k - 1]), ("star_inv", ls[k]), ("quad", u), ("star_inv", ls[k + 1])]
     return chain, (-1.0) ** (k + 1)
 
@@ -509,7 +598,7 @@ def _q_chain(xs: Sequence[ConeElement], k: int):
     e = np.eye(r)
     zarrs = [e] + arrs[: k + 1]
     zls = [np.eye(r)] + ls[: k + 1]
-    H, u = _u_raw(zarrs, zls, k + 1)
+    H, u = u_raw(zarrs, zls, k + 1)
     cone(SymMatrix(H), f"unit-led tail correction H at k={k}")
     S = _suffixes(arrs, ls, None, k)
     chain = []
@@ -580,7 +669,7 @@ def _differences(ls: np.ndarray, ys: Optional[np.ndarray]) -> np.ndarray:
         e = np.frexp(np.abs(g).max(axis=(-2, -1), keepdims=True))[1]
         g = np.ldexp(g, -e)
         exp2 += e
-    return ws / 2.0 + ws.swapaxes(-1, -2) / 2.0
+    return sym_raw(ws)
 
 
 def trace_differences(xs: np.ndarray) -> np.ndarray:

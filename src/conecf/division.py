@@ -37,7 +37,7 @@ def _chol_raw(a: np.ndarray) -> np.ndarray:
 
 
 def _t(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a, -1, -2)
+    return a.swapaxes(-1, -2)
 
 
 def _substitute(l: np.ndarray, b: np.ndarray, transposed: bool) -> np.ndarray:

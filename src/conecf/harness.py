@@ -21,12 +21,18 @@ as ``(trials, depth, r, r)`` stacks of bounded size whose every step acts
 on each trial by itself.  So a trial's rows depend only on (seed,
 trial_id), not on how many trials run, and with fixed output formatting
 equal configurations produce byte-identical artifacts.  The identity suite
-draws each identity's cases from ``split_stream(master, i)``, one at a
-time.
+draws each identity's cases from ``split_stream(master, i)``, one
+``sample_wishart`` call per matrix in case order, and then evaluates the
+map identities, the ordinary equivalence (one stack per length n) and the
+alternation (one forward trace, one tail-correction stack per index k) as
+stacks of cases, each case bit for bit as it evaluates alone; a case that
+fails certification is skipped by itself.  The closed-form and jump
+identities are evaluated per case.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import statistics
 from dataclasses import dataclass
@@ -35,19 +41,18 @@ from typing import Optional
 import numpy as np
 
 from .contfrac import (
-    CFSequence,
-    cf_general,
-    cf_ordinary,
+    cf_general_raw,
+    cf_ordinary_raw,
     f_closed,
     f_direct,
     jump_direct,
     q_apply,
-    to_ordinary,
+    to_ordinary_raw,
     trace_differences,
-    u_vec,
-    w_seq,
+    u_raw,
+    w_seq_raw,
 )
-from .division import pi_apply
+from .division import chol_raw, pi_apply, pi_raw
 from .jordan import (
     ConeElement,
     ConeMembershipError,
@@ -56,11 +61,12 @@ from .jordan import (
     cone,
     eigenvalues_dominate,
     frob_norm,
-    in_cone,
     inverse,
     min_eig_raw,
-    quad_rep_apply,
+    open_cone_test,
+    power_raw,
     rel_residual,
+    sym_raw,
 )
 from .randmat import Beta2Params, RngStream, sample_beta2, sample_wishart, split_stream
 
@@ -261,6 +267,62 @@ def _wishart_elem(rank: int, stream: RngStream) -> ConeElement:
     return sample_wishart(3.0, rank, stream)
 
 
+def _wishart_draws(rank: int, stream: RngStream, count: int) -> np.ndarray:
+    """``count`` draws as a ``(count, r, r)`` stack, one ``sample_wishart`` call each.
+
+    Each call reads the stream as the single draw does, so the stack holds
+    the matrices ``_wishart_elem`` would give, in the same order.
+    """
+    return np.concatenate([sample_wishart(3.0, rank, stream, n=1) for _ in range(count)])
+
+
+def _each_case(evaluate, stack: np.ndarray) -> list:
+    """``evaluate``'s per-case results over a case-major stack, with failing cases as None.
+
+    ``evaluate`` maps a ``(cases, ...)`` stack to a list with one entry per
+    case, acting on each case alone.  When it raises ConeMembershipError for
+    the stack, each case is evaluated again as a one-case stack, and a case
+    that raises on its own gives None: so one case outside the cone costs
+    only itself, exactly as when every case was evaluated by itself.
+    """
+    if len(stack) == 0:
+        return []
+    try:
+        return evaluate(stack)
+    except ConeMembershipError:
+        pass
+    results = []
+    for case in range(len(stack)):
+        try:
+            results += evaluate(stack[case : case + 1])
+        except ConeMembershipError:
+            results.append(None)
+    return results
+
+
+def _ordinary_equivalence(stack: np.ndarray) -> list:
+    """General against ordinary evaluation of each ``(x_1..x_n, y_1..y_n, y_0)`` row of a stack."""
+    n = (stack.shape[1] - 1) // 2
+    xs, ys, head = stack[:, :n].swapaxes(0, 1), stack[:, n : 2 * n].swapaxes(0, 1), stack[:, 2 * n]
+    ls = chol_raw(xs)
+    a = to_ordinary_raw(ls, ys)
+    return rel_residual(cf_general_raw(xs, ls, ys, head), cf_ordinary_raw(head, a)).tolist()
+
+
+def _decrease_breaches(xs: np.ndarray) -> list:
+    """Per unit chain: None if some w_k leaves the cone, else how many w_k - w_{k+1} leave it."""
+    ws, certified = w_seq_raw(xs)
+    breaches = closed_cone_test(ws[:, :-1] - ws[:, 1:])[1].sum(axis=1)
+    return [int(b) if ok else None for b, ok in zip(breaches, certified.tolist())]
+
+
+def _tail_correction_certified(xs: np.ndarray, k: int) -> list:
+    """Per unit chain: whether H and u_k of its first k + 1 numerators both clear the open cone."""
+    zarrs = xs[:, : k + 1].swapaxes(0, 1)
+    H, u = u_raw(zarrs, chol_raw(zarrs), k)
+    return (open_cone_test(H)[1] & open_cone_test(u)[1]).tolist()
+
+
 def run_identity_suite(rank: int, cases: int, seed: int) -> dict:
     """Randomized verification of the module identities at the stated tolerances.
 
@@ -270,6 +332,16 @@ def run_identity_suite(rank: int, cases: int, seed: int) -> dict:
     skipped, not failed.  The sequence-level identities (alternation,
     closed forms, jumps) run cases/10 sequences each, every sequence
     exercising about ten indices.
+
+    Cases are drawn and stacked as the module docstring says; every step
+    acts on each case alone and a case that fails certification is
+    skipped by itself (``_each_case``), so each residual is bit for bit
+    the one per-case evaluation gives.  The jump identity stays per case
+    because it draws its ``y`` only after the case evaluated without
+    error, so the stream position of every later case depends on the
+    outcomes.  The closed form stays per case because ``f_closed`` and
+    ``f_direct`` build an operator chain per sequence and index and have
+    no stacked form.
     """
     if rank > 4:
         raise ValueError(f"the suite runs at rank <= 4, got {rank}")
@@ -288,82 +360,68 @@ def run_identity_suite(rank: int, cases: int, seed: int) -> dict:
             "pass": residual <= tol and violations == 0,
         }
 
+    def pairs(stream_id: int) -> tuple[np.ndarray, np.ndarray]:
+        drawn = _wishart_draws(rank, split_stream(master, stream_id), 2 * cases)
+        return drawn[0::2], drawn[1::2]
+
     # factorization identity: multiply-then-adjoint equals the quadratic map
-    stream = split_stream(master, 1)
-    worst = 0.0
-    for _ in range(cases):
-        y = _wishart_elem(rank, stream)
-        x = _wishart_elem(rank, stream)
-        lhs = pi_apply(y, pi_apply(y, x.m, "star"), "plain")
-        rhs = quad_rep_apply(y.m, x.m)
-        worst = max(worst, rel_residual(lhs, rhs))
-    record("quad_is_mult_times_adjoint", worst, 1e-10)
+    y, x = pairs(1)
+    ly = chol_raw(y)
+    lhs = sym_raw(pi_raw(ly, sym_raw(pi_raw(ly, x, "star")), "plain"))
+    record("quad_is_mult_times_adjoint", float(rel_residual(lhs, sym_raw(y @ x @ y)).max()), 1e-10)
 
     # inverse swap: dividing an inverse equals inverting the adjoint image
-    stream = split_stream(master, 2)
-    worst = 0.0
-    for _ in range(cases):
-        u = _wishart_elem(rank, stream)
-        v = _wishart_elem(rank, stream)
-        lhs = pi_apply(u, inverse(v).m, "inv")
-        rhs = inverse(cone(pi_apply(u, v.m, "star")))
-        worst = max(worst, rel_residual(lhs, rhs.m))
-    record("inverse_swap", worst, 1e-10)
+    u, v = pairs(2)
+    lu = chol_raw(u)
+    lhs = sym_raw(pi_raw(lu, power_raw(v, -1.0), "inv"))
+    image = sym_raw(pi_raw(lu, v, "star"))
+    certified = open_cone_test(image)[1]
+    if not certified.all():
+        cone(SymMatrix(image[np.argmin(certified)]))  # raises, naming the first case outside
+    rhs = power_raw(image, -1.0)
+    record("inverse_swap", float(rel_residual(lhs, rhs).max()), 1e-10)
 
     # inverse antitonicity on the cone order
-    stream = split_stream(master, 3)
+    x, bump = pairs(3)
+    y = sym_raw(x + bump)
+    certified = open_cone_test(y)[1]
+    skipped += int((~certified).sum())
     violations = 0
-    for _ in range(cases):
-        x = _wishart_elem(rank, stream)
-        bump = _wishart_elem(rank, stream)
-        y = in_cone(SymMatrix(x.mat + bump.mat))
-        if y is None:
-            skipped += 1
-            continue
-        violations += closed_cone_test(inverse(x).mat - inverse(y).mat)[1]
+    if certified.any():
+        d = power_raw(x[certified], -1.0) - power_raw(y[certified], -1.0)
+        violations = int(closed_cone_test(d)[1].sum())
     record("inverse_antitone", 0.0, 1.0, violations)
 
-    # equivalence of the general and ordinary evaluators
+    # equivalence of the general and ordinary evaluators, one stack per length n
     stream = split_stream(master, 4)
-    worst = 0.0
+    by_length: dict = {}
     for c in range(cases):
         n = 1 + c % 12
         try:
-            xs = tuple(_wishart_elem(rank, stream) for _ in range(n))
-            ys = tuple(_wishart_elem(rank, stream) for _ in range(n))
-            head = _wishart_elem(rank, stream)
-            seq = CFSequence(xs, ys, head)
-            a = to_ordinary(seq)
-            lhs = cf_general(seq, n)
-            rhs = cf_ordinary(a[0], a[1:], n)
+            drawn = _wishart_draws(rank, stream, 2 * n + 1)
         except ConeMembershipError:
             skipped += 1
             continue
-        worst = max(worst, rel_residual(lhs, rhs))
+        by_length.setdefault(n, []).append(drawn)
+    worst = 0.0
+    for group in by_length.values():
+        residuals = _each_case(_ordinary_equivalence, np.array(group))
+        skipped += residuals.count(None)
+        worst = max([worst] + [res for res in residuals if res is not None])
     record("ordinary_equivalence", worst, 1e-9)
 
     # sign alternation and decrease of the unit-chain differences
+    depth = 10
     stream = split_stream(master, 5)
-    sign_violations = 0
-    decrease_violations = 0
+    xs = np.array([_wishart_draws(rank, stream, depth + 1) for _ in range(max(1, cases // 10))])
+    breaches = _each_case(_decrease_breaches, xs)
+    alternating = xs[[b is not None for b in breaches]]
     h_violations = 0
-    for _ in range(max(1, cases // 10)):
-        depth = 10
-        xs = tuple(_wishart_elem(rank, stream) for _ in range(depth + 1))
-        try:
-            ws = w_seq(xs, depth + 1)
-        except ConeMembershipError:
-            sign_violations += 1
-            continue
-        for wa, wb in zip(ws, ws[1:]):
-            decrease_violations += closed_cone_test(wa.mat - wb.mat)[1]
-        for k in range(3, depth):
-            try:
-                u_vec(xs, k)
-            except ConeMembershipError:
-                h_violations += 1
-    record("sign_alternation", 0.0, 1.0, sign_violations)
-    record("w_decreasing", 0.0, 1.0, decrease_violations)
+    for k in range(3, depth):
+        certified = _each_case(functools.partial(_tail_correction_certified, k=k), alternating)
+        h_violations += sum(ok is not True for ok in certified)
+    record("sign_alternation", 0.0, 1.0, breaches.count(None))
+    record("w_decreasing", 0.0, 1.0, sum(b for b in breaches if b is not None))
     record("tail_correction_in_cone", 0.0, 1.0, h_violations)
 
     # closed operator form of the two-step inverse difference

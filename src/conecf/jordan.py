@@ -9,10 +9,11 @@ immutable values.
 All eigen work goes through ``_jacobi``, in double precision: closed
 forms at rank <= 2 and LAPACK at rank >= 3.
 
-The raw-array primitives (``_jacobi``, ``inv_cone_raw``, ``min_eig_raw``,
-``frob_norm``, ``open_cone_test``, ``closed_cone_test``) take one matrix
-or a ``(..., r, r)`` stack, and treat each matrix of a stack exactly as
-they treat it alone, so whole experiments certify in one call.
+The raw-array primitives (``_jacobi``, ``sym_raw``, ``power_raw``,
+``inv_cone_raw``, ``min_eig_raw``, ``frob_norm``, ``rel_residual``,
+``open_cone_test``, ``closed_cone_test``) take one matrix or a
+``(..., r, r)`` stack, and treat each matrix of a stack exactly as they
+treat it alone, so whole experiments certify in one call.
 """
 
 from __future__ import annotations
@@ -38,12 +39,14 @@ __all__ = [
     "quad_rep_apply",
     "spectral_decomposition",
     "power",
+    "power_raw",
     "inverse",
     "in_cone",
     "cone",
     "closed_cone_test",
     "eigenvalues_dominate",
     "min_eig_raw",
+    "sym_raw",
     "open_cone_test",
     "inv_cone_raw",
     "frob_norm",
@@ -94,8 +97,7 @@ class SymMatrix:
             raise ValueError(
                 f"matrix is not symmetric: max asymmetry {skew:.3e} at scale {scale:.3e}"
             )
-        # halved before adding, so finite entries near the top of the range stay finite
-        a = a / 2.0 + a.T / 2.0
+        a = sym_raw(a)
         a.flags.writeable = False
         object.__setattr__(self, "mat", a)
 
@@ -150,6 +152,14 @@ def identity(r: int) -> ConeElement:
 
 def zero(r: int) -> SymMatrix:
     return SymMatrix(np.zeros((r, r)))
+
+
+def sym_raw(a: np.ndarray) -> np.ndarray:
+    """a/2 + a^T/2 of a raw array, or of each in a stack: the symmetrization SymMatrix applies.
+
+    Halved before adding, so finite entries near the top of the range stay finite.
+    """
+    return a / 2.0 + a.swapaxes(-1, -2) / 2.0
 
 
 def _check_same_rank(x: SymMatrix, y: SymMatrix) -> None:
@@ -241,15 +251,25 @@ def spectral_decomposition(x: SymMatrix) -> Spectrum:
     return Spectrum(tuple(float(t) for t in w[order]), v[:, order])
 
 
-def power(x: ConeElement, alpha: float) -> ConeElement:
-    """Spectral power x^alpha; covers inverse (-1), sqrt (1/2), inverse sqrt (-1/2)."""
-    w, v = _jacobi(x.mat)
+def _power_parts(a: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """a^alpha, symmetrized as SymMatrix symmetrizes, and the powered eigenvalues."""
+    w, v = _jacobi(a)
     if w.min() <= 0.0:
         raise ConeMembershipError(
             f"cone element has non-positive eigenvalue {w.min():.3e}; certificate is stale"
         )
     pw = w**alpha
-    rec = (v * pw) @ v.T
+    return sym_raw((v * pw[..., None, :]) @ v.swapaxes(-1, -2)), pw
+
+
+def power_raw(a: np.ndarray, alpha: float) -> np.ndarray:
+    """Spectral power of a raw positive definite array, or of each in a stack, as ``power`` has it."""
+    return _power_parts(a, alpha)[0]
+
+
+def power(x: ConeElement, alpha: float) -> ConeElement:
+    """Spectral power x^alpha; covers inverse (-1), sqrt (1/2), inverse sqrt (-1/2)."""
+    rec, pw = _power_parts(x.mat, alpha)
     return ConeElement(SymMatrix(rec), float(pw.min()))
 
 
@@ -368,10 +388,10 @@ def eigenvalues_dominate(a: SymMatrix, b: SymMatrix) -> bool:
     return bool((np.sort(_jacobi(a.mat)[0]) >= lo).all())
 
 
-def rel_residual(a, b) -> float:
-    """Frobenius distance scaled by 1 + the larger operand norm."""
+def rel_residual(a, b):
+    """Frobenius distance scaled by 1 + the larger operand norm; matching stacks give an array."""
     am, bm = _mat_of(a), _mat_of(b)
-    return frob_norm(am - bm) / (1.0 + max(frob_norm(am), frob_norm(bm)))
+    return _scalar(np.asarray(frob_norm(am - bm) / (1.0 + np.maximum(frob_norm(am), frob_norm(bm)))))
 
 
 def to_json_dict(x) -> dict:

@@ -16,6 +16,7 @@ consumers never share a mutable generator.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -137,6 +138,17 @@ def beta2_log_density(x: ConeElement, params: Beta2Params) -> float:
     )
 
 
+@functools.cache
+def _strict_lower(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict lower triangle of an r x r matrix, in row-major order.
+
+    np.tril_indices(r, -1), at a tenth of the cost, and computed once per rank.
+    """
+    il, jl = np.nonzero(np.tri(r, k=-1, dtype=bool))
+    il.flags.writeable = jl.flags.writeable = False
+    return il, jl
+
+
 def _wishart_arrays(s: float, r: int, gen: np.random.Generator, n: int) -> np.ndarray:
     """n Bartlett-constructed draws with density prop. to det(x)^{s-(r+1)/2} exp(-tr x).
 
@@ -147,7 +159,7 @@ def _wishart_arrays(s: float, r: int, gen: np.random.Generator, n: int) -> np.nd
     for i in range(r):
         L[:, i, i] = np.sqrt(gen.gamma(shape=s - 0.5 * i, scale=1.0, size=n))
     if r > 1:
-        il, jl = np.nonzero(np.tri(r, k=-1, dtype=bool))  # np.tril_indices(r, -1), at a tenth of the cost
+        il, jl = _strict_lower(r)
         L[:, il, jl] = gen.normal(0.0, np.sqrt(0.5), size=(n, il.size))
     return L @ np.transpose(L, (0, 2, 1))
 

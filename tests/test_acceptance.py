@@ -15,7 +15,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.integrate import quad
 from scipy.special import betainc
 from scipy.stats import kstest
@@ -33,7 +32,6 @@ from conecf import (
     f_closed,
     f_direct,
     frob_norm,
-    identity,
     inner,
     inverse,
     jump_direct,

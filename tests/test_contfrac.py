@@ -33,8 +33,17 @@ from conecf import (
     w_seq,
     zero,
 )
-from conecf.contfrac import DEPTH_CAP, _differences, _u_raw, trace_differences
-from conecf.division import _chol_raw
+from conecf.contfrac import (
+    DEPTH_CAP,
+    _differences,
+    cf_general_raw,
+    cf_ordinary_raw,
+    to_ordinary_raw,
+    trace_differences,
+    u_raw,
+    w_seq_raw,
+)
+from conecf.division import _chol_raw, pi_raw
 from conecf.jordan import ASSERT_TOL, _jacobi
 
 from helpers import make_spd
@@ -223,7 +232,7 @@ class TestTailCorrection:
         xs = ones(4)
         arrs = [x.mat for x in xs]
         ls = [_chol_raw(a) for a in arrs]
-        H, u = _u_raw(arrs, ls, 3)
+        H, u = u_raw(arrs, ls, 3)
         assert H[0, 0] == pytest.approx(0.5, abs=1e-15)
         assert u[0, 0] == pytest.approx(1.5, abs=1e-15)
         assert u_vec(xs, 3).mat[0, 0] == pytest.approx(1.5, abs=1e-15)
@@ -437,6 +446,90 @@ class TestStackedTrace:
             trace_differences(np.ones((0, 3, 2, 2)))
         with pytest.raises(ValueError, match="stack"):
             trace_differences(np.broadcast_to(np.eye(2), (1, 1, 2, 2)))
+
+
+def mixed_stack(rng: np.random.Generator, r: int, levels: int, cases: int = 6) -> np.ndarray:
+    """A level-major ``(levels, cases, r, r)`` stack of Wishart draws, each case at its own scale."""
+    scales = np.geomspace(1e-3, 1e3, cases)
+    return np.array([[s * wishart_array(rng, r) for s in scales] for _ in range(levels)])
+
+
+def to_ordinary_per_term(ls: np.ndarray, ys: np.ndarray) -> list:
+    """a_1..a_n of one sequence, each term through its own chain of factors i = m..1."""
+    terms = []
+    for m in range(1, len(ls) + 1):
+        v = ys[m - 1]
+        for i in range(m, 0, -1):
+            v = pi_raw(ls[i - 1], v, "star_inv" if (i - m) % 2 == 0 else "plain")
+        terms.append(v / 2.0 + v.T / 2.0)
+    return terms
+
+
+class TestLevelMajorKernels:
+    """Each slot of a level-major stack gets, bit for bit, what its one-slot call gives."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_general_and_ordinary_forms(self, r):
+        rng = np.random.default_rng(80 + r)
+        n, cases = 7, 6
+        xs, ys = mixed_stack(rng, r, n, cases), mixed_stack(rng, r, n, cases)
+        head = mixed_stack(rng, r, 1, cases)[0]
+        ls = _chol_raw(xs)
+        general = cf_general_raw(xs, ls, ys, head)
+        terms = to_ordinary_raw(ls, ys)
+        ordinary = cf_ordinary_raw(head, terms)
+        unit_general, unit_terms = cf_general_raw(xs, ls, None, None), to_ordinary_raw(ls, None)
+        for c in range(cases):
+            alone = (xs[:, c], ls[:, c], ys[:, c])
+            assert np.array_equal(general[c], cf_general_raw(*alone, head[c]))
+            assert np.array_equal(unit_general[c], cf_general_raw(*alone[:2], None, None))
+            assert np.array_equal(terms[:, c], to_ordinary_raw(ls[:, c], ys[:, c]))
+            assert np.array_equal(unit_terms[:, c], to_ordinary_raw(ls[:, c], None))
+            assert np.array_equal(terms[:, c], to_ordinary_per_term(ls[:, c], ys[:, c]))
+            assert np.array_equal(ordinary[c], cf_ordinary_raw(head[c], terms[:, c]))
+            # the public evaluators are the one-slot cases
+            seq = CFSequence(tuple(cone(SymMatrix(x)) for x in xs[:, c]),
+                             tuple(cone(SymMatrix(y)) for y in ys[:, c]), cone(SymMatrix(head[c])))
+            a = to_ordinary(seq)
+            assert all(np.array_equal(t.mat, want) for t, want in zip(a[1:], terms[:, c]))
+            assert np.array_equal(cf_general(seq, n).mat, general[c])
+            assert np.array_equal(cf_ordinary(a[0], a[1:], n).mat, ordinary[c])
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_tail_corrections_and_differences(self, r):
+        rng = np.random.default_rng(90 + r)
+        n, cases = 10, 6
+        xs = mixed_stack(rng, r, n, cases)
+        ls = _chol_raw(xs)
+        ws, certified = w_seq_raw(xs.swapaxes(0, 1))
+        assert ws.shape == (cases, n - 1, r, r) and certified.tolist() == [True] * cases
+        for k in range(3, n - 1):
+            H, u = u_raw(xs, ls, k)
+            for c in range(cases):
+                h_alone, u_alone = u_raw(list(xs[:, c]), list(ls[:, c]), k)
+                assert np.array_equal(H[c], h_alone) and np.array_equal(u[c], u_alone)
+                elems = tuple(cone(SymMatrix(x)) for x in xs[:, c])
+                assert np.array_equal(u_vec(elems, k).mat, u_alone)
+        for c in range(cases):
+            alone = w_seq(tuple(cone(SymMatrix(x)) for x in xs[:, c]), n)
+            assert all(np.array_equal(w.mat, want) for w, want in zip(alone, ws[c]))
+
+    def test_uncertified_differences_are_masked_not_raised(self):
+        # x_1 = x_2 = diag(1, 1e-6) clear the cone, but w_1 = l_1 x_2 (e + x_2)^{-1} l_1^T,
+        # about diag(1/2, 1e-12), misses the relative margin
+        xs = np.array(np.broadcast_to(np.eye(2), (3, 4, 2, 2)))
+        xs[1, :2] = np.diag([1.0, 1e-6])
+        ws, certified = w_seq_raw(xs)
+        assert certified.tolist() == [True, False, True]
+        with pytest.raises(ConeMembershipError, match="signed difference w_1"):
+            w_seq(tuple(cone(SymMatrix(x)) for x in xs[1]), 4)
+
+    def test_overflowing_term_names_its_level_in_a_stack(self):
+        ls = np.array(np.broadcast_to(np.eye(2), (3, 4, 2, 2)))
+        ys = ls.copy()
+        ls[1, 2] = 1e-160 * np.eye(2)  # a_2 of case 2 divides by x_2 = 1e-320 e
+        with pytest.raises(ArithmeticError, match=r"^ordinary term a_2 at level 2 overflows$"):
+            to_ordinary_raw(ls, ys)
 
 
 def wishart_array(rng: np.random.Generator, r: int) -> np.ndarray:

@@ -3,8 +3,32 @@ import json
 import numpy as np
 import pytest
 
-from conecf import ExperimentConfig, run_convergence_experiment, run_identity_suite
+from conecf import (
+    CFSequence,
+    ConeElement,
+    ConeMembershipError,
+    ExperimentConfig,
+    RngStream,
+    SymMatrix,
+    cf_general,
+    cf_ordinary,
+    cone,
+    in_cone,
+    inverse,
+    pi_apply,
+    quad_rep_apply,
+    rel_residual,
+    run_convergence_experiment,
+    run_identity_suite,
+    sample_wishart,
+    split_stream,
+    to_ordinary,
+    u_vec,
+    w_seq,
+)
+from conecf import harness
 from conecf.harness import CSV_HEADER, format_identity_report, summary_json
+from conecf.jordan import closed_cone_test
 
 
 def small_cfg(**overrides):
@@ -156,3 +180,131 @@ class TestIdentitySuite:
     def test_rank_cap(self):
         with pytest.raises(ValueError):
             run_identity_suite(5, 10, seed=0)
+
+
+def per_case_report(rank: int, cases: int, seed: int) -> dict:
+    """The identity suite evaluated one case at a time through the public API: the reference.
+
+    Every case draws from ``harness.sample_wishart`` as the suite does, so
+    a test that replaces that sampler changes both alike.
+    """
+    def draw(stream):
+        return harness.sample_wishart(3.0, rank, stream)
+
+    master = RngStream(seed)
+    skipped = 0
+    checks = {}
+
+    def record(name, residual, tol, violations=0):
+        checks[name] = {"max_residual": residual, "tolerance": tol, "violations": violations,
+                        "pass": residual <= tol and violations == 0}
+
+    stream, worst = split_stream(master, 1), 0.0
+    for _ in range(cases):
+        y, x = draw(stream), draw(stream)
+        lhs = pi_apply(y, pi_apply(y, x.m, "star"), "plain")
+        worst = max(worst, rel_residual(lhs, quad_rep_apply(y.m, x.m)))
+    record("quad_is_mult_times_adjoint", worst, 1e-10)
+
+    stream, worst = split_stream(master, 2), 0.0
+    for _ in range(cases):
+        u, v = draw(stream), draw(stream)
+        lhs = pi_apply(u, inverse(v).m, "inv")
+        worst = max(worst, rel_residual(lhs, inverse(cone(pi_apply(u, v.m, "star"))).m))
+    record("inverse_swap", worst, 1e-10)
+
+    stream, violations = split_stream(master, 3), 0
+    for _ in range(cases):
+        x, bump = draw(stream), draw(stream)
+        y = in_cone(SymMatrix(x.mat + bump.mat))
+        if y is None:
+            skipped += 1
+            continue
+        violations += closed_cone_test(inverse(x).mat - inverse(y).mat)[1]
+    record("inverse_antitone", 0.0, 1.0, violations)
+
+    stream, worst = split_stream(master, 4), 0.0
+    for c in range(cases):
+        n = 1 + c % 12
+        try:
+            seq = CFSequence(tuple(draw(stream) for _ in range(n)),
+                             tuple(draw(stream) for _ in range(n)), draw(stream))
+            a = to_ordinary(seq)
+            worst = max(worst, rel_residual(cf_general(seq, n), cf_ordinary(a[0], a[1:], n)))
+        except ConeMembershipError:
+            skipped += 1
+    record("ordinary_equivalence", worst, 1e-9)
+
+    stream = split_stream(master, 5)
+    sign = decrease = tail = 0
+    for _ in range(max(1, cases // 10)):
+        xs = tuple(draw(stream) for _ in range(11))
+        try:
+            ws = w_seq(xs, 11)
+        except ConeMembershipError:
+            sign += 1
+            continue
+        decrease += sum(closed_cone_test(wa.mat - wb.mat)[1] for wa, wb in zip(ws, ws[1:]))
+        for k in range(3, 10):
+            try:
+                u_vec(xs, k)
+            except ConeMembershipError:
+                tail += 1
+    record("sign_alternation", 0.0, 1.0, sign)
+    record("w_decreasing", 0.0, 1.0, decrease)
+    record("tail_correction_in_cone", 0.0, 1.0, tail)
+    return {"skipped": skipped, "identities": checks}
+
+
+def spiked_sampler(spikes: dict, rank: int):
+    """``sample_wishart`` with the draws ``spikes[stream_index]`` names replaced by diag(1, .., 1, 1e-11).
+
+    A replaced draw reads the stream as the real one does.  The spike is
+    positive definite but misses the open-cone margin (which every real
+    draw clears), so the cases holding one fail certification somewhere;
+    as a single draw it carries a hand-made certificate.
+    """
+    ids = {split_stream(RngStream(0), i).stream_id: hit for i, hit in spikes.items()}
+    counts: dict = {}
+    spike = np.diag([1.0] * (rank - 1) + [1e-11])
+
+    def sample(s, r, rng, n=None):
+        drawn = sample_wishart(s, r, rng, n=1)
+        index = counts[rng.stream_id] = counts.get(rng.stream_id, -1) + 1
+        if rng.stream_id in ids and ids[rng.stream_id](index):
+            drawn = spike[None]
+        if n is not None:
+            return drawn
+        return ConeElement(SymMatrix(drawn[0]), float(np.linalg.eigvalsh(drawn[0])[0]))
+
+    return sample
+
+
+class TestStackedSuite:
+    """The stacked identity suite reports, bit for bit, what per-case evaluation reports."""
+
+    FIRST_FIVE = ("quad_is_mult_times_adjoint", "inverse_swap", "inverse_antitone",
+                  "ordinary_equivalence", "sign_alternation", "w_decreasing",
+                  "tail_correction_in_cone")
+
+    def stacked(self, rank, cases):
+        report = run_identity_suite(rank, cases, seed=0)
+        return {"skipped": report["skipped"],
+                "identities": {name: report["identities"][name] for name in self.FIRST_FIVE}}
+
+    @pytest.mark.parametrize("rank, cases", [(1, 50), (2, 130), (3, 70)])
+    def test_matches_per_case_evaluation(self, rank, cases):
+        assert self.stacked(rank, cases) == per_case_report(rank, cases, seed=0)
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_failing_cases_are_skipped_alone(self, rank, monkeypatch):
+        # section 3: both draws of every fifth case; section 4: every 17th draw;
+        # section 5: every 29th draw
+        spikes = {3: lambda i: i // 2 % 5 == 2, 4: lambda i: i % 17 == 5, 5: lambda i: i % 29 == 7}
+        monkeypatch.setattr(harness, "sample_wishart", spiked_sampler(spikes, rank))
+        want = per_case_report(rank, 120, seed=0)
+        monkeypatch.setattr(harness, "sample_wishart", spiked_sampler(spikes, rank))
+        got = self.stacked(rank, 120)
+        assert got == want
+        assert got["skipped"] > 24  # 24 from the antitonicity cases, the rest from the equivalence
+        assert got["identities"]["sign_alternation"]["violations"] > 0

@@ -28,6 +28,8 @@ from conecf.jordan import (
     inv_cone_raw,
     min_eig_raw,
     open_cone_test,
+    power_raw,
+    sym_raw,
 )
 
 from helpers import make_spd, make_sym
@@ -191,6 +193,21 @@ class TestStacks:
         inv = inv_cone_raw(spd, "stack")
         for i in range(len(spd)):
             assert np.array_equal(inv[i], inv_cone_raw(spd[i], "one"))
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_stacked_powers_and_residuals_match_each_matrix(self, r, rng):
+        spd = np.array([make_spd(r, rng, scale=s).mat for s in (1e-3, 1.0, 1e3, 2.0)])
+        other = np.array([make_spd(r, rng).mat for _ in range(4)])
+        res = rel_residual(spd, other)
+        skewed = spd + 1e-13 * rng.normal(size=spd.shape)  # inside SymMatrix's asymmetry tolerance
+        for alpha in (-1.0, 0.5):
+            powered = power_raw(spd, alpha)
+            for i in range(len(spd)):
+                assert np.array_equal(powered[i], power(cone(SymMatrix(spd[i])), alpha).mat)
+        for i in range(len(spd)):
+            assert res[i] == rel_residual(SymMatrix(spd[i]), SymMatrix(other[i]))
+            assert np.array_equal(sym_raw(skewed)[i], SymMatrix(skewed[i]).mat)
+        assert type(rel_residual(spd[0], other[0])) is float
 
     def test_single_matrix_results_are_python_scalars(self, rng):
         a = make_spd(3, rng).mat

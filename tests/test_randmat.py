@@ -122,6 +122,23 @@ class TestWishart:
         with pytest.raises(ValueError):
             sample_wishart(0.5, 2, RngStream(0))
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_bartlett_draws_read_the_stream_in_order(self, r):
+        # diagonal gammas row by row, then the strict lower triangle in row-major order;
+        # L L^T comes out exactly symmetric, so a single draw's SymMatrix keeps its bits
+        for n in (1, 5):
+            got = _wishart_arrays(3.0, r, RngStream(17).generator, n)
+            gen = RngStream(17).generator
+            L = np.zeros((n, r, r))
+            for i in range(r):
+                L[:, i, i] = np.sqrt(gen.gamma(shape=3.0 - 0.5 * i, scale=1.0, size=n))
+            il, jl = np.tril_indices(r, -1)
+            L[:, il, jl] = gen.normal(0.0, np.sqrt(0.5), size=(n, il.size))
+            assert np.array_equal(got, L @ L.transpose(0, 2, 1))
+            assert np.array_equal(got, got.transpose(0, 2, 1))
+        one = sample_wishart(3.0, r, RngStream(19)).mat
+        assert np.array_equal(one, sample_wishart(3.0, r, RngStream(19), n=1)[0])
+
 
 class TestBeta2Sampler:
     def test_scalar_reduction_is_beta_prime(self):
