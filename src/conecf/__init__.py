@@ -8,7 +8,7 @@ from .jordan import (
     SymMatrix,
     cone,
     frob_norm,
-    from_json_dict,
+    from_json_raw,
     identity,
     in_cone,
     inner,
@@ -26,7 +26,6 @@ from .contfrac import (
     DEPTH_CAP,
     CFSequence,
     ConvergentTrace,
-    TraceRecord,
     bracket,
     cf_general,
     cf_ordinary,
@@ -51,7 +50,6 @@ from .randmat import (
 )
 from .harness import (
     ExperimentConfig,
-    TrialResult,
     run_convergence_experiment,
     run_identity_suite,
 )

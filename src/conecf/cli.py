@@ -5,7 +5,8 @@ sequence file), ``equiv`` (general vs ordinary evaluator agreement on a
 file), ``identities`` (randomized identity suite), ``mc`` (Monte Carlo
 convergence experiment), ``sample`` (emit random cone matrices).  Output
 is deterministic for a fixed seed.  Exit codes: 0 success, 1 failure,
-2 usage error.
+2 usage error.  A sequence file is certified once, as one stack, when its
+``CFSequence`` is built.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .contfrac import DEPTH_CAP, CFSequence, cf_general, cf_ordinary, to_ordinary, trace_cf
+from .contfrac import DEPTH_CAP, CFSequence, cf_depths, trace_cf
 from .harness import (
     ExperimentConfig,
     format_identity_report,
@@ -23,7 +24,7 @@ from .harness import (
     run_identity_suite,
     summary_json,
 )
-from .jordan import cone, from_json_dict, rel_residual, to_json_dict
+from .jordan import from_json_raw, rel_residual, to_json_dict
 from .randmat import Beta2Params, RngStream, sample_beta2, sample_wishart
 
 EQUIV_TOL = 1e-9
@@ -34,7 +35,7 @@ class UsageError(ValueError):
 
 
 def load_sequence(path: str) -> CFSequence:
-    """Read a CFSequence from JSON: {"head": m|null, "xs": [m...], "ys": [m...]?}."""
+    """Read JSON {"head": m|null, "xs": [m...], "ys": [m...]?} into a CFSequence, which certifies it."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -42,14 +43,11 @@ def load_sequence(path: str) -> CFSequence:
             raise ValueError("the sequence file nests too deeply to parse") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("xs"), list):
         raise ValueError('a sequence file holds an object with an "xs" list of matrices')
-    xs = tuple(cone(from_json_dict(d)) for d in doc["xs"])
-    ys = doc.get("ys")
+    xs, ys, head = doc["xs"], doc.get("ys"), doc.get("head")
     if ys is not None and not isinstance(ys, list):
         raise ValueError('"ys" must be a list of matrices or null')
-    ys = tuple(cone(from_json_dict(d)) for d in ys) if ys is not None else None
-    head = doc.get("head")
-    head = cone(from_json_dict(head)) if head is not None else None
-    return CFSequence(xs, ys, head)
+    xs, ys = [from_json_raw(d) for d in xs], None if ys is None else [from_json_raw(d) for d in ys]
+    return CFSequence(xs, ys, None if head is None else from_json_raw(head))
 
 
 def _depth(args, seq: CFSequence, cap: Optional[int] = None) -> int:
@@ -69,27 +67,19 @@ def _cmd_eval(args) -> int:
     if args.format == "csv":
         sys.stdout.write(trace.csv_text())
     elif args.format == "json":
-        doc = {
-            "depth": depth,
-            "convergents": [
-                {"k": rec.k, "matrix": to_json_dict(rec.convergent)} for rec in trace.records
-            ],
-        }
-        print(json.dumps(doc, indent=2))
+        convergents = [{"k": k, "matrix": to_json_dict(c)} for k, c in enumerate(trace.convergents, 1)]
+        print(json.dumps({"depth": depth, "convergents": convergents}, indent=2))
     else:
-        for rec in trace.records:
-            print(f"{rec.k}\t{json.dumps(to_json_dict(rec.convergent)['data'])}")
+        for k, conv in enumerate(trace.convergents, start=1):
+            print(f"{k}\t{json.dumps(to_json_dict(conv)['data'])}")
     return 0
 
 
 def _cmd_equiv(args) -> int:
     seq = load_sequence(args.file)
     depth = _depth(args, seq, DEPTH_CAP)
-    ys = seq.ys[:depth] if seq.ys is not None else None
-    a = to_ordinary(CFSequence(seq.xs[:depth], ys, seq.head))
-    worst = 0.0
-    for n in range(1, depth + 1):
-        worst = max(worst, rel_residual(cf_general(seq, n), cf_ordinary(a[0], a[1:], n)))
+    # a running max from 0, as over the depths one by one: a NaN residual never replaces it
+    worst = max([0.0] + rel_residual(*cf_depths(seq, depth)).tolist())
     print(f"max relative deviation over depths 1..{depth}: {worst:.6e}")
     return 0 if worst <= EQUIV_TOL else 1
 

@@ -20,7 +20,7 @@ Evaluation conventions, applied throughout:
   brackets from it.
   ``cf_ordinary`` alone keeps its own loop: it is built from additions and
   inversions only, as the independent oracle that ``cf_general`` is
-  checked against.
+  checked against.  ``cf_depths`` runs both for every depth at once.
 * The tail-first kernels take level-major stacks: indexed by level, each
   entry is one matrix or a ``(cases, r, r)`` stack, so a whole
   ``(levels, cases, r, r)`` array of independent sequences advances one
@@ -82,14 +82,15 @@ from .jordan import (
     min_eig_raw,
     open_cone_test,
     rel_residual,
+    sym_checked_raw,
     sym_raw,
 )
 
 __all__ = [
     "DEPTH_CAP",
     "CFSequence",
-    "TraceRecord",
     "ConvergentTrace",
+    "cf_depths",
     "cf_general",
     "cf_general_raw",
     "cf_ordinary",
@@ -117,77 +118,68 @@ _ADJOINT = {"plain": "star", "star": "plain", "inv": "star_inv", "star_inv": "in
 
 @dataclass(frozen=True, eq=False)
 class CFSequence:
-    """Partial numerators x_n, optional partial denominators y_n, optional head y_0.
+    """Partial numerators x_n, optional denominators y_n (None: unit) and head y_0 (None: zero).
 
-    ``ys is None`` means every partial denominator is the identity (the
-    unit-quotient case).
+    Given as matrices (raw arrays, SymMatrix or ConeElement values), held as
+    read-only arrays, ``(n, r, r)`` or ``(r, r)``.  Certified once, here,
+    unless all are ConeElement values, which carry their certificate:
+    SymMatrix's checks and the open-cone test each run once over the whole
+    sequence, and the first matrix that fails is named (``xs level 3``).
     """
 
-    xs: tuple[ConeElement, ...]
-    ys: Optional[tuple[ConeElement, ...]] = None
-    head: Optional[ConeElement] = None
+    xs: np.ndarray
+    ys: Optional[np.ndarray] = None
+    head: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "xs", tuple(self.xs))
-        if len(self.xs) == 0:
+        given = {"xs": self.xs, "ys": self.ys, "head": None if self.head is None else [self.head]}
+        given = {name: list(mats) for name, mats in given.items() if mats is not None}
+        n = len(given["xs"])
+        if n == 0:
             raise ValueError("a continued fraction needs at least one partial numerator")
-        r = self.xs[0].r
-        if any(x.r != r for x in self.xs):
-            raise ValueError("partial numerators have mixed sizes")
-        if self.ys is not None:
-            object.__setattr__(self, "ys", tuple(self.ys))
-            if len(self.ys) != len(self.xs):
-                raise ValueError(
-                    f"need as many denominators as numerators, got {len(self.ys)} vs {len(self.xs)}"
-                )
-            if any(y.r != r for y in self.ys):
-                raise ValueError("partial denominators have mixed sizes")
-        if self.head is not None and self.head.r != r:
-            raise ValueError("head size does not match the sequence")
+        if len(given.get("ys", given["xs"])) != n:
+            raise ValueError(f"need as many denominators as numerators, got {len(given['ys'])} vs {n}")
+        names = [name if name == "head" else f"{name} level {i}"
+                 for name, mats in given.items() for i in range(1, len(mats) + 1)]
+        mats = [np.asarray(getattr(m, "mat", m), dtype=float) for ms in given.values() for m in ms]
+        for name, m in zip(names, mats):  # before numpy could meet a ragged list
+            if m.shape != mats[0].shape or m.shape != m.shape[:1] * 2:
+                raise ValueError(f"mixed or non-square: {name} is {m.shape}, xs level 1 {mats[0].shape}")
+        stack = np.array(mats)
+        if not all(isinstance(m, ConeElement) for ms in given.values() for m in ms):
+            stack = sym_checked_raw(stack, names.__getitem__)
+            mn, ok = open_cone_test(stack)
+            if not ok.all():
+                i = int(np.argmin(ok))
+                raise ConeMembershipError(f"{names[i]} leaves the cone: smallest eigenvalue {mn[i]:.3e}")
+        stack.flags.writeable = False
+        for i, name in enumerate(given):
+            object.__setattr__(self, name, stack[-1] if name == "head" else stack[i * n : (i + 1) * n])
 
     @property
     def r(self) -> int:
-        return self.xs[0].r
+        return self.xs.shape[-1]
 
     def __len__(self) -> int:
         return len(self.xs)
 
 
 @dataclass(frozen=True, eq=False)
-class TraceRecord:
-    """One convergent R_k with its forward difference data, where defined."""
-
-    k: int
-    convergent: SymMatrix
-    w: Optional[SymMatrix] = None
-    delta_norm: Optional[float] = None
-    w_min_eig: Optional[float] = None
-
-
-@dataclass(frozen=True, eq=False)
 class ConvergentTrace:
-    """Indexed record of convergents for analysis and CSV export."""
+    """R_1..R_depth and, for k < depth, w_k, its norms and its smallest eigenvalue, at index k - 1."""
 
-    records: tuple[TraceRecord, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
-        ks = [rec.k for rec in self.records]
-        if ks and (ks[0] != 1 or any(b <= a for a, b in zip(ks, ks[1:]))):
-            raise ValueError("trace indices must be strictly increasing from 1")
+    convergents: np.ndarray
+    w: np.ndarray
+    delta_norm: np.ndarray
+    wk_norm: np.ndarray
+    margins: np.ndarray
 
     def csv_text(self) -> str:
-        """Rows ``k,delta_norm,wk_norm,in_cone_margin``; blank cells where undefined."""
-        lines = ["k,delta_norm,wk_norm,in_cone_margin"]
-        for rec in self.records:
-            delta = "" if rec.delta_norm is None else repr(rec.delta_norm)
-            if rec.w is None:
-                wnorm = margin = ""
-            else:
-                wnorm = repr(frob_norm(rec.w))
-                margin = "" if rec.w_min_eig is None else repr(rec.w_min_eig)
-            lines.append(f"{rec.k},{delta},{wnorm},{margin}")
-        return "\n".join(lines) + "\n"
+        """CSV rows ``k,delta_norm,wk_norm,in_cone_margin`` (equal norms), blank where w_k is not."""
+        cells = zip(self.delta_norm.tolist(), self.wk_norm.tolist(), self.margins.tolist())
+        rows = [f"{k},{d!r},{w!r},{m!r}" for k, (d, w, m) in enumerate(cells, start=1)]
+        rows.append(f"{len(self.convergents)},,,")
+        return "\n".join(["k,delta_norm,wk_norm,in_cone_margin", *rows]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -216,18 +208,18 @@ def _check_index(k: int, have: int, least: int = 1) -> None:
         raise ValueError(f"depth {k} exceeds the hard cap {DEPTH_CAP}")
 
 
-def _innermost(arrs, ls, ys, n: int) -> np.ndarray:
-    """g_n(0), the value of level n alone: x_n, or the inverse of star_inv(l_n, y_n).
+def _innermost(x, l, y, level) -> np.ndarray:
+    """g_n(0), level n's value alone, x_n or star_inv(l_n, y_n)^{-1}, of one level or a stack of them.
 
     The quotient is checked finite before it is certified, so an overflow
-    names its level instead of surfacing as an eigensolver failure.
+    names its ``level`` instead of surfacing as an eigensolver failure.
     """
-    if ys is None:
-        return arrs[n - 1]
-    quotient = _pi_raw(ls[n - 1], ys[n - 1], "star_inv")
+    if y is None:
+        return x
+    quotient = _pi_raw(l, y, "star_inv")
     if not np.isfinite(quotient).all():
-        raise ArithmeticError(f"innermost quotient at level {n} overflows")
-    return inv_cone_raw(quotient, f"innermost quotient (level {n})")
+        raise ArithmeticError(f"innermost quotient at level {level} overflows")
+    return inv_cone_raw(quotient, f"innermost quotient (level {level})")
 
 
 def _suffixes(
@@ -244,7 +236,7 @@ def _suffixes(
     ``arrs``; ``ys is None`` means every denominator is the identity.  The
     innermost level is ``_innermost``'s.  Only the first n entries are read.
     """
-    acc = _innermost(arrs, ls, ys, n)
+    acc = _innermost(arrs[n - 1], ls[n - 1], None if ys is None else ys[n - 1], n)
     if ys is None:
         ys = [np.eye(acc.shape[-1])] * n
     S: list = [None] * n
@@ -253,16 +245,6 @@ def _suffixes(
         acc = _pi_raw(ls[j], inv_cone_raw(ys[j] + acc, f"denominator at level {j + 1}"), "plain")
         S[j] = acc
     return S
-
-
-def _level_arrays(seq: CFSequence, n: int):
-    """Raw numerators, their Cholesky factors and raw denominators (or None) of levels 1..n.
-
-    Each is one ``(n, r, r)`` stack, indexed by level - 1.
-    """
-    xs = np.stack([x.mat for x in seq.xs[:n]])
-    ys = np.stack([y.mat for y in seq.ys[:n]]) if seq.ys is not None else None
-    return xs, _chol_raw(xs), ys
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +279,8 @@ def cf_general(seq: CFSequence, n: int) -> SymMatrix:
     ``cf_general_raw``.
     """
     _check_index(n, len(seq.xs))
-    head = seq.head.mat if seq.head is not None else None
-    return SymMatrix(cf_general_raw(*_level_arrays(seq, n), head))
+    xs = seq.xs[:n]
+    return SymMatrix(cf_general_raw(xs, _chol_raw(xs), None if seq.ys is None else seq.ys[:n], seq.head))
 
 
 def cf_ordinary_raw(y0: Optional[np.ndarray], a: np.ndarray) -> np.ndarray:
@@ -370,9 +352,39 @@ def to_ordinary(seq: CFSequence) -> list[SymMatrix]:
     """
     n = len(seq.xs)
     _check_index(n, n)
-    _, ls, ys = _level_arrays(seq, n)
-    head = seq.head.m if seq.head is not None else SymMatrix(np.zeros((seq.r, seq.r)))
-    return [head] + [SymMatrix(a) for a in to_ordinary_raw(ls, ys)]
+    head = SymMatrix(np.zeros((seq.r, seq.r)) if seq.head is None else seq.head)
+    return [head] + [SymMatrix(a) for a in to_ordinary_raw(_chol_raw(seq.xs), seq.ys)]
+
+
+def cf_depths(seq: CFSequence, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """``cf_general(seq, n)`` and ``cf_ordinary`` of the ``to_ordinary`` terms, bit for bit, n <= depth.
+
+    Depth n is case n - 1 of one stack and joins the backward pass at level
+    n: ``depth`` stacked calls per form, not depth(depth + 1)/2.  If the stack
+    raises or meets a condition numpy warns of, the depths run again one by
+    one (general, then ordinary, at depth 1, 2, ...) to raise or warn as that does.
+    """
+    _check_index(depth, len(seq.xs))
+    xs, ys = seq.xs[:depth], None if seq.ys is None else seq.ys[:depth]
+    ls = _chol_raw(xs)
+    terms = to_ordinary_raw(ls, ys)
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            general = np.array(_innermost(xs, ls, ys, f"1..{depth}"))
+            for j in range(depth - 2, -1, -1):
+                y = np.eye(seq.r) if ys is None else ys[j]
+                inv = inv_cone_raw(y + general[j + 1 :], f"denominator at level {j + 1}")
+                general[j + 1 :] = _pi_raw(ls[j], inv, "plain")
+            ordinary = np.zeros_like(terms)
+            for j in range(depth - 1, -1, -1):
+                ordinary[j:] = inv_cone_raw(terms[j] + ordinary[j:], f"ordinary term at level {j + 1}")
+    except (ArithmeticError, ValueError):
+        pairs = [(cf_general(seq, n).mat, cf_ordinary_raw(seq.head, terms[:n]))
+                 for n in range(1, depth + 1)]
+        return tuple(np.array(form) for form in zip(*pairs))
+    if seq.head is not None:
+        general, ordinary = seq.head + general, seq.head + ordinary
+    return sym_raw(general), sym_raw(ordinary)
 
 
 def bracket(xs: Sequence[ConeElement], k: int) -> ConeElement:
@@ -703,32 +715,22 @@ def trace_differences(xs: np.ndarray) -> np.ndarray:
 
 
 def trace_cf(seq: CFSequence, depth: int) -> ConvergentTrace:
-    """Convergents R_1..R_depth with forward differences, for analysis/export.
+    """Convergents R_1..R_depth with forward differences, for analysis/export; uncapped in depth.
 
-    Uncapped in depth, and linear in it: one forward pass (the one-sequence
-    case of ``_differences``) gives every difference
-    w_k = (-1)^{k+1}(R_k - R_{k+1}) without subtracting, and the
-    convergents are its partial sums from R_1, which is evaluated as
-    ``cf_general`` evaluates it.  For unit partial denominators w_k is a
-    cone element and ``w_min_eig`` reports its margin.
+    One forward pass (``_differences``) gives every w_k = (-1)^{k+1}(R_k - R_{k+1})
+    without subtracting, and the convergents are its partial sums from R_1,
+    which is evaluated as ``cf_general`` evaluates it.
     """
     if not 1 <= depth <= len(seq.xs):
         raise ValueError(f"depth {depth} out of range [1, {len(seq.xs)}]")
-    xs, ls, ys = _level_arrays(seq, depth)
-    conv = _innermost(xs, ls, ys, 1)
+    xs, ys = seq.xs[:depth], None if seq.ys is None else seq.ys[:depth]
+    ls = _chol_raw(xs)
+    first = _innermost(xs[0], ls[0], None if ys is None else ys[0], 1)
     if seq.head is not None:
-        conv = seq.head.mat + conv
+        first = seq.head + first
     ws = _differences(ls[None], None if ys is None else ys[None])[0]
-    deltas, margins = frob_norm(ws).tolist(), min_eig_raw(ws).tolist()
-
-    records = []
-    for k in range(1, depth + 1):
-        w = delta = margin = None
-        if k < depth:
-            w, delta, margin = SymMatrix(ws[k - 1]), deltas[k - 1], margins[k - 1]
-        records.append(
-            TraceRecord(k=k, convergent=SymMatrix(conv), w=w, delta_norm=delta, w_min_eig=margin)
-        )
-        if w is not None:
-            conv = conv + (-1.0 if k % 2 == 1 else 1.0) * w.mat
-    return ConvergentTrace(tuple(records))
+    # R_{k+1} = R_k + (-1)^k w_k, summed in level order
+    steps = np.concatenate([first[None], ws])
+    steps[1::2] *= -1.0
+    norms = frob_norm(ws)
+    return ConvergentTrace(sym_raw(np.cumsum(steps, axis=0)), ws, norms, norms, min_eig_raw(ws))

@@ -9,9 +9,9 @@ immutable values.
 All eigen work goes through ``_jacobi``, in double precision: closed
 forms at rank <= 2 and LAPACK at rank >= 3.
 
-The raw-array primitives (``_jacobi``, ``sym_raw``, ``power_raw``,
-``inv_cone_raw``, ``min_eig_raw``, ``frob_norm``, ``rel_residual``,
-``open_cone_test``, ``closed_cone_test``) take one matrix or a
+The raw-array primitives (``_jacobi``, ``sym_raw``, ``sym_checked_raw``,
+``power_raw``, ``inv_cone_raw``, ``min_eig_raw``, ``frob_norm``,
+``rel_residual``, ``open_cone_test``, ``closed_cone_test``) take one matrix or a
 ``(..., r, r)`` stack, and treat each matrix of a stack exactly as they
 treat it alone, so whole experiments certify in one call.
 """
@@ -47,12 +47,13 @@ __all__ = [
     "eigenvalues_dominate",
     "min_eig_raw",
     "sym_raw",
+    "sym_checked_raw",
     "open_cone_test",
     "inv_cone_raw",
     "frob_norm",
     "rel_residual",
     "to_json_dict",
-    "from_json_dict",
+    "from_json_raw",
 ]
 
 CONE_TOL = 1e-10    # relative open-cone margin: smallest eigenvalue > CONE_TOL * ||x||
@@ -88,16 +89,7 @@ class SymMatrix:
     mat: np.ndarray
 
     def __post_init__(self) -> None:
-        a = _as_square_float(self.mat)
-        if not np.isfinite(a).all():
-            raise ValueError("matrix entries must be finite")
-        scale = 1.0 + np.abs(a).max()
-        skew = np.abs(a - a.T).max()
-        if skew > _SYM_REJECT_TOL * scale:
-            raise ValueError(
-                f"matrix is not symmetric: max asymmetry {skew:.3e} at scale {scale:.3e}"
-            )
-        a = sym_raw(a)
+        a = sym_checked_raw(_as_square_float(self.mat), lambda i: "matrix")
         a.flags.writeable = False
         object.__setattr__(self, "mat", a)
 
@@ -160,6 +152,23 @@ def sym_raw(a: np.ndarray) -> np.ndarray:
     Halved before adding, so finite entries near the top of the range stay finite.
     """
     return a / 2.0 + a.swapaxes(-1, -2) / 2.0
+
+
+def sym_checked_raw(a: np.ndarray, name) -> np.ndarray:
+    """``sym_raw(a)`` of a raw array or stack, after SymMatrix's checks, each run once over the stack.
+
+    The first matrix not finite, or asymmetric beyond 1e-9 relative, raises ValueError named ``name(i)``.
+    """
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if not finite.all():
+        raise ValueError(f"{name(int(np.argmin(finite)))} entries must be finite")
+    scale, skew = 1.0 + np.abs(a).max(axis=(-2, -1)), np.abs(a - a.swapaxes(-1, -2)).max(axis=(-2, -1))
+    rejected = skew > _SYM_REJECT_TOL * scale
+    if rejected.any():
+        i = int(np.argmax(rejected))
+        raise ValueError(f"{name(i)} is not symmetric: "
+                         f"max asymmetry {skew.flat[i]:.3e} at scale {scale.flat[i]:.3e}")
+    return sym_raw(a)
 
 
 def _check_same_rank(x: SymMatrix, y: SymMatrix) -> None:
@@ -400,8 +409,8 @@ def to_json_dict(x) -> dict:
     return {"r": int(a.shape[0]), "data": [[float(t) for t in row] for row in a]}
 
 
-def from_json_dict(d: dict) -> SymMatrix:
-    """Parse the JSON matrix encoding; any other shape (true/false included) raises ValueError."""
+def from_json_raw(d: dict) -> np.ndarray:
+    """The JSON matrix encoding as a square array; any other shape (true/false too) raises ValueError."""
     if not (isinstance(d, dict) and type(d.get("r")) is int and isinstance(d.get("data"), list)):
         raise ValueError('expected a matrix {"r": size, "data": [rows]}')
     r, data = d["r"], d["data"]
@@ -409,4 +418,4 @@ def from_json_dict(d: dict) -> SymMatrix:
         raise ValueError(f"matrix data does not match declared size r={r}")
     if not all(type(t) in (int, float) for row in data for t in row):
         raise ValueError("matrix entries must be numbers")
-    return SymMatrix(np.array(data, dtype=float))
+    return _as_square_float(data)

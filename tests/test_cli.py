@@ -174,8 +174,30 @@ class TestLoadSequence:
         f = tmp_path / "seq.json"
         write_general_file(f)
         seq = load_sequence(str(f))
-        assert len(seq.xs) == 2 and seq.ys is not None and seq.head is not None
-        assert seq.head.mat[0, 0] == 1.0
+        assert seq.xs.shape == seq.ys.shape == (2, 1, 1) and seq.head.shape == (1, 1)
+        assert seq.head[0, 0] == 1.0 and seq.xs[1, 0, 0] == 4.0 and seq.ys[0, 0, 0] == 2.0
+
+    @pytest.mark.parametrize("fault", ["margin", "asymmetric", "nan"])
+    @pytest.mark.parametrize("where", ["xs", "ys", "head"])
+    def test_errors_name_the_list_and_the_level(self, tmp_path, capsys, where, fault):
+        bad = {
+            "margin": [[1.0, 0.0], [0.0, 1e-12]],  # positive, but inside the relative cone margin
+            "asymmetric": [[1.0, 0.5], [0.0, 1.0]],
+            "nan": [[1.0, 0.0], [0.0, float("nan")]],
+        }[fault]
+        eye = {"r": 2, "data": [[1.0, 0.0], [0.0, 1.0]]}
+        doc = {"xs": [eye] * 4, "ys": [eye] * 4, "head": eye}
+        if where == "head":
+            doc["head"] = {"r": 2, "data": bad}
+        else:
+            doc[where] = [eye, eye, {"r": 2, "data": bad}, eye]
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        assert cli_main(["eval", str(f)]) == 1
+        name = "head" if where == "head" else f"{where} level 3"
+        reason = {"margin": "leaves the cone", "asymmetric": "is not symmetric",
+                  "nan": "entries must be finite"}[fault]
+        assert capsys.readouterr().err.startswith(f"error: {name} {reason}")
 
 
 class TestEquiv:

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 from conecf import (
     CFSequence,
     ConeMembershipError,
-    ConvergentTrace,
     RngStream,
     SymMatrix,
-    TraceRecord,
     bracket,
     cf_general,
     cf_ordinary,
@@ -31,11 +29,12 @@ from conecf import (
     trace_cf,
     u_vec,
     w_seq,
-    zero,
 )
+from conecf import contfrac
 from conecf.contfrac import (
     DEPTH_CAP,
     _differences,
+    cf_depths,
     cf_general_raw,
     cf_ordinary_raw,
     to_ordinary_raw,
@@ -339,17 +338,15 @@ class TestTrace:
     def test_unit_trace_matches_brackets(self):
         xs = ones(10)
         trace = trace_cf(CFSequence(xs), 10)
-        for rec in trace.records:
-            assert rec.convergent.mat[0, 0] == pytest.approx(
-                bracket(xs, rec.k).mat[0, 0], abs=1e-13
-            )
+        for k, conv in enumerate(trace.convergents, start=1):
+            assert conv[0, 0] == pytest.approx(bracket(xs, k).mat[0, 0], abs=1e-13)
 
     def test_w_margins_positive_for_unit_case(self, rng):
         xs = tuple(make_spd(2, rng) for _ in range(8))
         trace = trace_cf(CFSequence(xs), 8)
-        for rec in trace.records[:-1]:
-            assert rec.w_min_eig > 0.0
-        assert trace.records[-1].w is None
+        assert trace.margins.shape == (7,) and (trace.margins > 0.0).all()
+        # the last convergent has no forward difference
+        assert trace.convergents.shape == (8, 2, 2) and trace.w.shape == (7, 2, 2)
 
     def test_csv_schema(self):
         trace = trace_cf(CFSequence(ones(4)), 4)
@@ -362,13 +359,13 @@ class TestTrace:
     def test_general_case_head(self):
         seq = CFSequence(scalars(4.0, 4.0), scalars(2.0, 2.0), head=scal(1.0))
         trace = trace_cf(seq, 2)
-        assert trace.records[0].convergent.mat[0, 0] == pytest.approx(3.0, abs=1e-14)
-        assert trace.records[1].convergent.mat[0, 0] == pytest.approx(2.0, abs=1e-14)
+        assert trace.convergents[0, 0, 0] == pytest.approx(3.0, abs=1e-14)
+        assert trace.convergents[1, 0, 0] == pytest.approx(2.0, abs=1e-14)
 
     def test_longer_than_cap_allowed(self):
         xs = ones(70)
         trace = trace_cf(CFSequence(xs), 70)
-        assert trace.records[-1].k == 70
+        assert len(trace.convergents) == 70
 
     def test_fibonacci_differences_past_the_rounding_floor(self):
         # w_k = 1 / (F_{k+1} F_{k+2}) for the all-ones chain; at k = 60 that is
@@ -377,10 +374,11 @@ class TestTrace:
         while len(fib) < 80:
             fib.append(fib[-1] + fib[-2])
         trace = trace_cf(CFSequence(ones(70)), 70)
-        for rec in trace.records[:-1]:
-            exact = 1.0 / (fib[rec.k] * fib[rec.k + 1])
-            assert rec.w.mat[0, 0] == pytest.approx(exact, rel=1e-13)
-            assert rec.w_min_eig > 0.0
+        assert len(trace.w) == 69
+        for k, (w, margin) in enumerate(zip(trace.w, trace.margins), start=1):
+            exact = 1.0 / (fib[k] * fib[k + 1])
+            assert w[0, 0] == pytest.approx(exact, rel=1e-13)
+            assert margin > 0.0
 
     def test_overflowing_quotient_names_its_level(self):
         big = cone(SymMatrix(1e300 * np.eye(3)))
@@ -391,7 +389,7 @@ class TestTrace:
         with pytest.raises(ArithmeticError, match="level 2 overflows"):
             cf_general(seq, 2)
         # the trace never forms that quotient: R_2 = (e + 1e-600 e)^{-1} rounds to e
-        assert np.array_equal(trace_cf(seq, 2).records[1].convergent.mat, np.eye(3))
+        assert np.array_equal(trace_cf(seq, 2).convergents[1], np.eye(3))
 
 
 class TestStackedTrace:
@@ -413,8 +411,7 @@ class TestStackedTrace:
             assert np.array_equal(ws[t], alone)
             seq = CFSequence(tuple(cone(SymMatrix(x)) for x in xs[t]),
                              None if ys is None else tuple(cone(SymMatrix(y)) for y in ys[t]))
-            records = trace_cf(seq, depth).records
-            assert all(np.array_equal(rec.w.mat, w) for rec, w in zip(records, ws[t]))
+            assert np.array_equal(trace_cf(seq, depth).w, ws[t])
 
     def test_transfer_denominator_failure_names_level_and_trial(self):
         xs = np.broadcast_to(np.eye(2), (3, 5, 2, 2))
@@ -532,6 +529,67 @@ class TestLevelMajorKernels:
             to_ordinary_raw(ls, ys)
 
 
+def seqfile_arrays(seed: int, batch: int, r: int = 3, depth: int = 64):
+    """The head, xs and ys of the benchmark's seqfile-r3 file at (seed, batch), drawn in its order."""
+    rng = np.random.default_rng(seed * 100_000 + batch)
+    head = wishart_array(rng, r)
+    xs = [wishart_array(rng, r) for _ in range(depth)]
+    return head, xs, [wishart_array(rng, r) for _ in range(depth)]
+
+
+def equiv_per_depth(seq: CFSequence, depth: int) -> tuple[list, list]:
+    """The general and ordinary convergent of each depth, evaluated one depth after another."""
+    ys = None if seq.ys is None else seq.ys[:depth]
+    a = to_ordinary(CFSequence(seq.xs[:depth], ys, seq.head))
+    general, ordinary = [], []
+    for n in range(1, depth + 1):
+        general.append(cf_general(seq, n).mat)
+        ordinary.append(cf_ordinary(a[0], a[1:], n).mat)
+    return general, ordinary
+
+
+class TestDepthStack:
+    """``cf_depths`` evaluates every depth as one stack, each bit for bit as the per-depth loop does."""
+
+    @pytest.mark.parametrize("head", [False, True], ids=["no-head", "head"])
+    @pytest.mark.parametrize("general", [False, True], ids=["unit", "general"])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_every_depth_matches_its_own_evaluation(self, r, general, head, monkeypatch):
+        rng = np.random.default_rng(110 + r)
+        n, depth = 14, 12
+        scales = np.geomspace(1e-2, 1e2, n)
+        xs = [s * wishart_array(rng, r) for s in scales]
+        ys = [wishart_array(rng, r) / s for s in scales] if general else None
+        seq = CFSequence(xs, ys, wishart_array(rng, r) if head else None)
+
+        def per_depth(*args):
+            raise AssertionError("the stack fell back to the per-depth evaluation")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(contfrac, "cf_general", per_depth)
+            got_general, got_ordinary = cf_depths(seq, depth)
+        want_general, want_ordinary = equiv_per_depth(seq, depth)
+        assert got_general.shape == got_ordinary.shape == (depth, r, r)
+        for m in range(depth):
+            assert np.array_equal(got_general[m], want_general[m]), m
+            assert np.array_equal(got_ordinary[m], want_ordinary[m]), m
+
+    def test_ordinary_term_leaving_the_cone_raises_as_the_per_depth_loop_does(self):
+        # seqfile-r3's file at seed 310, batch 345: a_12 misses the relative cone margin
+        head, xs, ys = seqfile_arrays(310, 345)
+        seq = CFSequence(xs, ys, head)
+        with pytest.raises(ConeMembershipError) as per_depth:
+            equiv_per_depth(seq, 12)
+        with pytest.raises(ConeMembershipError) as stacked:
+            cf_depths(seq, 12)
+        assert str(stacked.value) == str(per_depth.value)
+        assert str(stacked.value).startswith("ordinary term at level 12 leaves the cone: ")
+        assert "stack index" not in str(stacked.value)
+        # one depth less evaluates, as the loop does
+        for got, want in zip(cf_depths(seq, 11), equiv_per_depth(seq, 11)):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def wishart_array(rng: np.random.Generator, r: int) -> np.ndarray:
     """Wishart with 6 degrees of freedom and scale 1/2, drawn as the benchmark's seqfile-r3 draws it."""
     a = rng.normal(0.0, np.sqrt(0.5), size=(r, 6))
@@ -578,17 +636,15 @@ class TestTraceAccuracy:
         )
         refs = mp_differences(xs, ys, depth)[1]
         trace = trace_cf(seq, depth)
+        assert len(trace.w) == len(refs) == depth - 1
         with mpmath.workdps(60):
-            for rec, ref in zip(trace.records, refs):
-                err = mp_rel_error(rec.w.mat, ref)
-                assert err < 1e-8, (rec.k, err)
+            for k, (w, ref) in enumerate(zip(trace.w, refs), start=1):
+                err = mp_rel_error(w, ref)
+                assert err < 1e-8, (k, err)
 
     def test_seqfile_case_where_the_unnormalised_row_block_is_singular(self):
-        # seqfile-r3's file at seed 101, batch 68: head, then 64 xs, then 64 ys
-        rng = np.random.default_rng(101 * 100_000 + 68)
-        head = wishart_array(rng, 3)
-        xs = [wishart_array(rng, 3) for _ in range(64)]
-        ys = [wishart_array(rng, 3) for _ in range(64)]
+        # seqfile-r3's file at seed 101, batch 68
+        head, xs, ys = seqfile_arrays(101, 68)
 
         # the bottom row [C, D] of M_1 ... M_k, rescaled by powers of two only,
         # loses its rank in double precision
@@ -608,8 +664,8 @@ class TestTraceAccuracy:
             cone(SymMatrix(head)),
         )
         trace = trace_cf(seq, 64)
-        for rec in trace.records:
-            assert rel_residual(rec.convergent, cf_general(seq, rec.k)) <= 1e-9, rec.k
+        for k, conv in enumerate(trace.convergents, start=1):
+            assert rel_residual(conv, cf_general(seq, k)) <= 1e-9, k
 
 
 class TestOracleAccuracy:
@@ -646,7 +702,20 @@ class TestTypes:
         with pytest.raises(ValueError, match="head"):
             CFSequence(ones(2), head=identity(2))
 
-    def test_trace_index_validation(self):
-        rec = TraceRecord(k=2, convergent=zero(1))
-        with pytest.raises(ValueError, match="strictly increasing"):
-            ConvergentTrace((rec,))
+    def test_sequence_is_certified_once_into_read_only_arrays(self):
+        seq = CFSequence(ones(3), [np.eye(1)] * 3, SymMatrix(np.array([[2.0]])))
+        for a in (seq.xs, seq.ys, seq.head):
+            assert isinstance(a, np.ndarray) and not a.flags.writeable
+        assert seq.xs.shape == seq.ys.shape == (3, 1, 1) and seq.head.shape == (1, 1)
+        thin = np.diag([1.0, 1e-12])  # positive, but inside the relative cone margin
+        eye = np.eye(2)
+        with pytest.raises(ConeMembershipError, match="^xs level 3 leaves the cone"):
+            CFSequence([eye, eye, thin])
+        with pytest.raises(ConeMembershipError, match="^ys level 2 leaves the cone"):
+            CFSequence([eye] * 3, [eye, thin, eye])
+        with pytest.raises(ConeMembershipError, match="^head leaves the cone"):
+            CFSequence([eye] * 3, head=thin)
+        with pytest.raises(ValueError, match="^xs level 2 is not symmetric"):
+            CFSequence([eye, np.array([[1.0, 0.5], [0.0, 1.0]])])
+        with pytest.raises(ValueError, match="^ys level 1 entries must be finite"):
+            CFSequence([eye], [np.array([[1.0, 0.0], [0.0, np.inf]])])

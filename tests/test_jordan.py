@@ -8,7 +8,7 @@ from conecf import (
     SymMatrix,
     cone,
     frob_norm,
-    from_json_dict,
+    from_json_raw,
     identity,
     in_cone,
     inner,
@@ -331,11 +331,11 @@ class TestJson:
         x = make_sym(3, rng)
         d = to_json_dict(x)
         assert d["r"] == 3 and len(d["data"]) == 3
-        assert np.allclose(from_json_dict(d).mat, x.mat, atol=0)
+        assert np.allclose(SymMatrix(from_json_raw(d)).mat, x.mat, atol=0)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            from_json_dict({"r": 2, "data": [[1.0]]})
+            from_json_raw({"r": 2, "data": [[1.0]]})
 
     @pytest.mark.parametrize(
         "d",
@@ -344,7 +344,7 @@ class TestJson:
     )
     def test_json_booleans_rejected(self, d):
         with pytest.raises(ValueError):
-            from_json_dict(d)
+            from_json_raw(d)
 
 
 SCALES = [1e-12, 1e-6, 1.0, 1e6, 1e100, 1e200]
