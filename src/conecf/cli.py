@@ -5,18 +5,22 @@ sequence file), ``equiv`` (general vs ordinary evaluator agreement on a
 file), ``identities`` (randomized identity suite), ``mc`` (Monte Carlo
 convergence experiment), ``sample`` (emit random cone matrices).  Output
 is deterministic for a fixed seed.  Exit codes: 0 success, 1 failure,
-2 usage error.  A sequence file is certified once, as one stack, when its
-``CFSequence`` is built.
+2 usage error; ``equiv`` also exits 1 when the ordinary form has no
+Cholesky factor at some depth n up to ``--depth``, after printing the
+deviation over depths 1..n-1 only.  The parser is built once per process.
+A sequence file is parsed as one array and certified once, as one stack,
+when its ``CFSequence`` is built.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
 
-from .contfrac import DEPTH_CAP, CFSequence, cf_depths, trace_cf
+from .contfrac import DEPTH_CAP, CFSequence, OrdinaryBreakdown, cf_depths, trace_cf
 from .harness import (
     ExperimentConfig,
     format_identity_report,
@@ -24,7 +28,7 @@ from .harness import (
     run_identity_suite,
     summary_json,
 )
-from .jordan import from_json_raw, rel_residual, to_json_dict
+from .jordan import from_json_stack, rel_residual, to_json_dict
 from .randmat import Beta2Params, RngStream, sample_beta2, sample_wishart
 
 EQUIV_TOL = 1e-9
@@ -35,7 +39,10 @@ class UsageError(ValueError):
 
 
 def load_sequence(path: str) -> CFSequence:
-    """Read JSON {"head": m|null, "xs": [m...], "ys": [m...]?} into a CFSequence, which certifies it."""
+    """Read JSON {"head": m|null, "xs": [m...], "ys": [m...]?} into a CFSequence, which certifies it.
+
+    The items are checked and parsed in one pass, into one array (``from_json_stack``).
+    """
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -46,8 +53,9 @@ def load_sequence(path: str) -> CFSequence:
     xs, ys, head = doc["xs"], doc.get("ys"), doc.get("head")
     if ys is not None and not isinstance(ys, list):
         raise ValueError('"ys" must be a list of matrices or null')
-    xs, ys = [from_json_raw(d) for d in xs], None if ys is None else [from_json_raw(d) for d in ys]
-    return CFSequence(xs, ys, None if head is None else from_json_raw(head))
+    mats = from_json_stack(xs + (ys or []) + ([] if head is None else [head]))
+    n = len(xs)
+    return CFSequence(mats[:n], None if ys is None else mats[n : n + len(ys)], None if head is None else mats[-1])
 
 
 def _depth(args, seq: CFSequence, cap: Optional[int] = None) -> int:
@@ -78,9 +86,21 @@ def _cmd_eval(args) -> int:
 def _cmd_equiv(args) -> int:
     seq = load_sequence(args.file)
     depth = _depth(args, seq, DEPTH_CAP)
-    # a running max from 0, as over the depths one by one: a NaN residual never replaces it
-    worst = max([0.0] + rel_residual(*cf_depths(seq, depth)).tolist())
-    print(f"max relative deviation over depths 1..{depth}: {worst:.6e}")
+    checked, stop = depth, None
+    try:
+        forms = cf_depths(seq, depth)
+    except OrdinaryBreakdown as exc:
+        # every depth before the breakdown evaluated, so those depths check as one stack
+        checked, stop = exc.depth - 1, exc
+        forms = cf_depths(seq, checked) if checked else None
+    if forms is not None:
+        # a running max from 0, as over the depths one by one: a NaN residual never replaces it
+        worst = max([0.0] + rel_residual(*forms).tolist())
+        print(f"max relative deviation over depths 1..{checked}: {worst:.6e}")
+    if stop is not None:
+        print(f"error: the ordinary form stops at depth {stop.depth} ({stop}); "
+              f"depths {stop.depth}..{depth} are not checked", file=sys.stderr)
+        return 1
     return 0 if worst <= EQUIV_TOL else 1
 
 
@@ -187,10 +207,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; parsing never changes it."""
+    return build_parser()
+
+
 def cli_main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -53,9 +53,11 @@ Evaluation conventions, applied throughout:
   primitive replaced by its adjoint (plain <-> star, inv <-> star_inv,
   quadratic maps are self-adjoint).  Dense operator matrices are never
   formed.
-* Every matrix that gets inverted is first checked against the open-cone
-  margin, so a numerically singular input fails loudly instead of
-  propagating junk.
+* Every matrix that gets inverted is certified first, so a numerically
+  singular input fails loudly instead of propagating junk: against the
+  open-cone margin, except in the ordinary pass, whose terms are badly
+  scaled by construction and which inverts through a Cholesky factor
+  whose existence is the certificate (``_ordinary_level``).
 
 Single-shot evaluators enforce a hard depth cap of 64: at that depth the
 all-ones scalar chain is already converged to machine precision and the
@@ -70,6 +72,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .division import chol_inv_raw as _chol_inv_raw
 from .division import chol_raw as _chol_raw
 from .division import pi_raw as _pi_raw
 from .jordan import (
@@ -89,6 +92,7 @@ from .jordan import (
 __all__ = [
     "DEPTH_CAP",
     "CFSequence",
+    "OrdinaryBreakdown",
     "ConvergentTrace",
     "cf_depths",
     "cf_general",
@@ -116,15 +120,24 @@ DEPTH_CAP = 64
 _ADJOINT = {"plain": "star", "star": "plain", "inv": "star_inv", "star_inv": "inv", "quad": "quad"}
 
 
+class OrdinaryBreakdown(ConeMembershipError):
+    """``cf_depths``' ordinary form has no Cholesky factor first at ``depth``; shallower depths evaluated."""
+
+    def __init__(self, message: str, depth: int) -> None:
+        super().__init__(message)
+        self.depth = depth
+
+
 @dataclass(frozen=True, eq=False)
 class CFSequence:
     """Partial numerators x_n, optional denominators y_n (None: unit) and head y_0 (None: zero).
 
-    Given as matrices (raw arrays, SymMatrix or ConeElement values), held as
-    read-only arrays, ``(n, r, r)`` or ``(r, r)``.  Certified once, here,
-    unless all are ConeElement values, which carry their certificate:
-    SymMatrix's checks and the open-cone test each run once over the whole
-    sequence, and the first matrix that fails is named (``xs level 3``).
+    Given as ``(n, r, r)`` arrays or as lists of matrices (raw arrays,
+    SymMatrix or ConeElement values), held as read-only arrays, ``(n, r, r)``
+    or ``(r, r)``.  Certified once, here, unless all are ConeElement values,
+    which carry their certificate: SymMatrix's checks and the open-cone test
+    each run once over the whole sequence, and the first matrix that fails
+    is named (``xs level 3``).
     """
 
     xs: np.ndarray
@@ -133,7 +146,7 @@ class CFSequence:
 
     def __post_init__(self) -> None:
         given = {"xs": self.xs, "ys": self.ys, "head": None if self.head is None else [self.head]}
-        given = {name: list(mats) for name, mats in given.items() if mats is not None}
+        given = {name: mats for name, mats in given.items() if mats is not None}
         n = len(given["xs"])
         if n == 0:
             raise ValueError("a continued fraction needs at least one partial numerator")
@@ -141,11 +154,16 @@ class CFSequence:
             raise ValueError(f"need as many denominators as numerators, got {len(given['ys'])} vs {n}")
         names = [name if name == "head" else f"{name} level {i}"
                  for name, mats in given.items() for i in range(1, len(mats) + 1)]
-        mats = [np.asarray(getattr(m, "mat", m), dtype=float) for ms in given.values() for m in ms]
-        for name, m in zip(names, mats):  # before numpy could meet a ragged list
-            if m.shape != mats[0].shape or m.shape != m.shape[:1] * 2:
-                raise ValueError(f"mixed or non-square: {name} is {m.shape}, xs level 1 {mats[0].shape}")
-        stack = np.array(mats)
+        # an (n, r, r) array stays whole; other lists are read matrix by matrix
+        blocks = [ms if isinstance(ms, np.ndarray) and ms.ndim == 3
+                  else [np.asarray(getattr(m, "mat", m), dtype=float) for m in ms] for ms in given.values()]
+        first, start = blocks[0][0].shape, 0
+        for block in blocks:  # before numpy could meet a ragged list
+            for i, m in enumerate(block[:1] if isinstance(block, np.ndarray) else block):
+                if m.shape != first or m.shape != m.shape[:1] * 2:
+                    raise ValueError(f"mixed or non-square: {names[start + i]} is {m.shape}, xs level 1 {first}")
+            start += len(block)
+        stack = np.concatenate(blocks, dtype=float)
         if not all(isinstance(m, ConeElement) for ms in given.values() for m in ms):
             stack = sym_checked_raw(stack, names.__getitem__)
             mn, ok = open_cone_test(stack)
@@ -283,6 +301,11 @@ def cf_general(seq: CFSequence, n: int) -> SymMatrix:
     return SymMatrix(cf_general_raw(xs, _chol_raw(xs), None if seq.ys is None else seq.ys[:n], seq.head))
 
 
+def _ordinary_level(term: np.ndarray, acc: np.ndarray, level: int) -> np.ndarray:
+    """(a_j + acc)^{-1}, one level of the ordinary backward pass, certified by its Cholesky factor."""
+    return _chol_inv_raw(term + acc, f"ordinary term at level {level}")
+
+
 def cf_ordinary_raw(y0: Optional[np.ndarray], a: np.ndarray) -> np.ndarray:
     """The n-th convergent of an ordinary continued fraction y0 + K(e / a_n), n = len(a).
 
@@ -291,11 +314,12 @@ def cf_ordinary_raw(y0: Optional[np.ndarray], a: np.ndarray) -> np.ndarray:
     ``(n, cases, r, r)`` array of terms and ``y0`` one matrix, a
     ``(cases, r, r)`` stack or None (zero).  Each case's result,
     symmetrized as SymMatrix symmetrizes, is bit for bit what it gives
-    alone; an inversion outside the open cone raises, naming the level.
+    alone; a level whose matrix has no Cholesky factor raises, naming the
+    level (``_ordinary_level``).
     """
     acc = np.zeros_like(a[0])
     for j in range(len(a) - 1, -1, -1):
-        acc = inv_cone_raw(a[j] + acc, f"ordinary term at level {j + 1}")
+        acc = _ordinary_level(a[j], acc, j + 1)
     if y0 is not None:
         acc = y0 + acc
     return sym_raw(acc)
@@ -363,6 +387,7 @@ def cf_depths(seq: CFSequence, depth: int) -> tuple[np.ndarray, np.ndarray]:
     n: ``depth`` stacked calls per form, not depth(depth + 1)/2.  If the stack
     raises or meets a condition numpy warns of, the depths run again one by
     one (general, then ordinary, at depth 1, 2, ...) to raise or warn as that does.
+    The ordinary form's error there is an OrdinaryBreakdown naming its depth.
     """
     _check_index(depth, len(seq.xs))
     xs, ys = seq.xs[:depth], None if seq.ys is None else seq.ys[:depth]
@@ -377,10 +402,15 @@ def cf_depths(seq: CFSequence, depth: int) -> tuple[np.ndarray, np.ndarray]:
                 general[j + 1 :] = _pi_raw(ls[j], inv, "plain")
             ordinary = np.zeros_like(terms)
             for j in range(depth - 1, -1, -1):
-                ordinary[j:] = inv_cone_raw(terms[j] + ordinary[j:], f"ordinary term at level {j + 1}")
+                ordinary[j:] = _ordinary_level(terms[j], ordinary[j:], j + 1)
     except (ArithmeticError, ValueError):
-        pairs = [(cf_general(seq, n).mat, cf_ordinary_raw(seq.head, terms[:n]))
-                 for n in range(1, depth + 1)]
+        pairs = []
+        for n in range(1, depth + 1):
+            general = cf_general(seq, n).mat
+            try:
+                pairs.append((general, cf_ordinary_raw(seq.head, terms[:n])))
+            except ConeMembershipError as exc:
+                raise OrdinaryBreakdown(str(exc), n) from None
         return tuple(np.array(form) for form in zip(*pairs))
     if seq.head is not None:
         general, ordinary = seq.head + general, seq.head + ordinary

@@ -10,9 +10,11 @@ carrying the identity to y.  The four congruence maps supported here are
     star_inv   x -> l^{-T} x l^{-1}
 
 The inverse modes run forward/back substitution against the factor;
-forming an explicit inverse matrix is deliberately not done anywhere in
-this module, which keeps the plain/inv round trip exact to working
-precision.  Every map takes one matrix or a ``(..., r, r)`` stack.
+no congruence forms an explicit inverse matrix, which keeps the plain/inv
+round trip exact to working precision.  Every map takes one matrix or a
+``(..., r, r)`` stack.  ``chol_inv_raw`` inverts a matrix through its own
+factor, for the ordinary continued fraction, whose terms the factor
+certifies.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .jordan import ConeElement, ConeMembershipError, SymMatrix
 
-__all__ = ["MODES", "chol_raw", "pi_raw", "pi_apply"]
+__all__ = ["MODES", "chol_raw", "chol_inv_raw", "pi_raw", "pi_apply"]
 
 MODES = ("plain", "star", "inv", "star_inv")
 
@@ -77,6 +79,34 @@ def _pi_raw(l: np.ndarray, x: np.ndarray, mode: str) -> np.ndarray:
 
 # Public names of the array-level kernels, for the evaluators' raw-array loops.
 chol_raw, pi_raw = _chol_raw, _pi_raw
+
+
+def chol_inv_raw(a: np.ndarray, what: str) -> np.ndarray:
+    """a^{-1} = l^{-T} l^{-1} of a raw array, or of each in a stack, certified by its Cholesky factor l.
+
+    The certificate is that l exists and that l and the inverse are finite:
+    Cholesky is accurate to the condition of a scaled to a unit diagonal
+    (van der Sluis 1969; Demmel 1989), which ``in_cone``'s relative margin
+    does not measure.  Only the lower triangle of a is read.  ``what``
+    names the array in the error, with the first failing slot of a stack.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            l = _chol_raw(a)
+            m = _substitute(l, np.broadcast_to(np.eye(a.shape[-1]), a.shape), False)
+            inv = _t(m) @ m
+            if np.isfinite(l).all() and np.isfinite(inv).all():
+                return inv
+        except ConeMembershipError:
+            pass
+    where = ""
+    for index in np.ndindex(a.shape[:-2]) if a.ndim > 2 else ():
+        try:
+            chol_inv_raw(a[index], what)
+        except ConeMembershipError:
+            where = f" (stack index {index})"
+            break
+    raise ConeMembershipError(f"{what}{where} has no Cholesky factor in double precision")
 
 
 def pi_apply(y: ConeElement, x: SymMatrix, mode: str) -> SymMatrix:

@@ -18,6 +18,7 @@ treat it alone, so whole experiments certify in one call.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -54,6 +55,7 @@ __all__ = [
     "rel_residual",
     "to_json_dict",
     "from_json_raw",
+    "from_json_stack",
 ]
 
 CONE_TOL = 1e-10    # relative open-cone margin: smallest eigenvalue > CONE_TOL * ||x||
@@ -419,3 +421,24 @@ def from_json_raw(d: dict) -> np.ndarray:
     if not all(type(t) in (int, float) for row in data for t in row):
         raise ValueError("matrix entries must be numbers")
     return _as_square_float(data)
+
+
+def from_json_stack(items: list):
+    """JSON matrix encodings as one ``(len(items), r, r)`` array, checked in one pass over them all.
+
+    Otherwise the items are read one by one with ``from_json_raw``: the
+    first malformed item raises its error, and well-formed items of
+    different sizes come back as a list of arrays.
+    """
+    r = items[0].get("r") if items and isinstance(items[0], dict) else None
+    if (type(r) is int and r > 0
+            and all(isinstance(d, dict) and type(d.get("r")) is int and d["r"] == r
+                    and isinstance(d.get("data"), list) and len(d["data"]) == r for d in items)):
+        rows = [row for d in items for row in d["data"]]
+        if (all(isinstance(row, list) and len(row) == r for row in rows)
+                and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}):
+            try:
+                return np.array([d["data"] for d in items], dtype=float)
+            except OverflowError:  # an integer beyond the double range; its item names it below
+                pass
+    return [from_json_raw(d) for d in items]

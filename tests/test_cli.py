@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -9,14 +10,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conecf import contfrac
 from conecf.cli import cli_main, load_sequence
 
-from helpers import run_cli_module
+from helpers import run_cli_module, run_python
+from test_contfrac import seqfile_arrays
 
 
 def write_ones_file(path, n=40, r=1):
     doc = {"xs": [{"r": r, "data": np.eye(r).tolist()} for _ in range(n)]}
     path.write_text(json.dumps(doc))
+
+
+def write_seqfile(path, seed, batch):
+    """The benchmark's seqfile-r3 file at (seed, batch)."""
+    m = lambda a: {"r": 3, "data": a.tolist()}  # noqa: E731
+    head, xs, ys = seqfile_arrays(seed, batch)
+    path.write_text(json.dumps({"head": m(head), "xs": [m(x) for x in xs], "ys": [m(y) for y in ys]}))
 
 
 def write_general_file(path):
@@ -169,6 +179,40 @@ class TestMalformedInputFuzz:
             load_sequence(str(f))
 
 
+# Each malformed item, with the error the file reader gave when it read items one by one.
+MALFORMED_ITEMS = {
+    "bool_entry": ({"r": 2, "data": [[1.0, 0.0], [0.0, True]]}, "matrix entries must be numbers"),
+    "string_entry": ({"r": 2, "data": [[1.0, 0.0], [0.0, "1.0"]]}, "matrix entries must be numbers"),
+    "ragged_row": ({"r": 2, "data": [[1.0, 0.0], [0.0]]}, "matrix data does not match declared size r=2"),
+    "wrong_r": ({"r": 3, "data": [[1.0, 0.0], [0.0, 1.0]]}, "matrix data does not match declared size r=3"),
+    "non_dict": ([[1.0, 0.0], [0.0, 1.0]], 'expected a matrix {"r": size, "data": [rows]}'),
+    "other_size": ({"r": 1, "data": [[1.0]]}, None),
+}
+
+
+class TestMalformedItems:
+    @pytest.mark.parametrize("where", ["xs", "ys", "head"])
+    @pytest.mark.parametrize("fault", sorted(MALFORMED_ITEMS))
+    def test_error_text_is_the_item_by_item_readers(self, tmp_path, where, fault):
+        bad, message = MALFORMED_ITEMS[fault]
+        eye = {"r": 2, "data": [[1.0, 0.0], [0.0, 1.0]]}
+        doc = {"xs": [eye] * 4, "ys": [eye] * 4, "head": eye}
+        if where == "head":
+            doc["head"] = bad
+        else:
+            doc[where] = [eye, eye, bad, eye]
+            doc["head"] = MALFORMED_ITEMS["non_dict"][0]  # a later item's fault is not the one reported
+        if message is None:  # sizes are compared only once every item has been read
+            message = ("mixed or non-square: head is (1, 1), xs level 1 (2, 2)" if where == "head"
+                       else MALFORMED_ITEMS["non_dict"][1])
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli_main(["equiv", str(f)])
+        assert (rc, err.getvalue()) == (1, f"error: {message}\n")
+
+
 class TestLoadSequence:
     def test_round_trip(self, tmp_path):
         f = tmp_path / "seq.json"
@@ -220,6 +264,46 @@ class TestEquiv:
         write_ones_file(f, n=70)
         assert cli_main(["equiv", str(f)]) == 0
         assert "depths 1..64" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed, batch", [(3, 1189), (6, 755), (9, 391), (9, 1191), (10, 630), (310, 345)])
+    def test_terms_past_the_relative_margin_agree(self, tmp_path, capsys, seed, batch):
+        # seqfile-r3 files with an ordinary term at depth <= 12 that misses the
+        # relative cone margin; its Cholesky factor certifies and inverts it
+        f = tmp_path / "seq.json"
+        write_seqfile(f, seed, batch)
+        assert cli_main(["equiv", str(f), "--depth", "12"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("max relative deviation over depths 1..12: ")
+        assert float(out.split(": ")[1]) <= 1e-9
+
+    def test_stops_at_the_depth_where_the_ordinary_factor_does(self, tmp_path, capsys):
+        f = tmp_path / "seq.json"
+        write_seqfile(f, 310, 345)
+        assert cli_main(["equiv", str(f)]) == 1
+        out, err = capsys.readouterr()
+        stop = int(re.fullmatch(r"error: the ordinary form stops at depth (\d+) \(ordinary term at level \1 "
+                                r"has no Cholesky factor in double precision\); depths \1\.\.64 are not checked\n",
+                                err).group(1))
+        assert 12 < stop < 64
+        assert out.startswith(f"max relative deviation over depths 1..{stop - 1}: ")
+        assert float(out.split(": ")[1]) <= 1e-9
+
+    def test_stop_at_the_first_depth_checks_nothing(self, tmp_path, capsys, monkeypatch):
+        transform = contfrac.to_ordinary_raw
+
+        def planted(ls, ys):
+            terms = transform(ls, ys)
+            terms[0] = -terms[0]
+            return terms
+
+        monkeypatch.setattr(contfrac, "to_ordinary_raw", planted)
+        f = tmp_path / "seq.json"
+        write_general_file(f)
+        assert cli_main(["equiv", str(f)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: the ordinary form stops at depth 1 (ordinary term at level 1 has no "
+                       "Cholesky factor in double precision); depths 1..2 are not checked\n")
 
     def test_overflowing_ordinary_term_names_its_level(self, tmp_path):
         # a_1 = star_inv of 1e-300 e applied to 1e300 e is 1e600 e
@@ -321,6 +405,50 @@ class TestSample:
             cli_main(["sample", "--n", "3", "--seed", "4", "--out", str(out)])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, monkeypatch):
+        # the parser is built once per process; every call still parses afresh
+        monkeypatch.setenv("COLUMNS", "80")
+        f = tmp_path / "ones.json"
+        write_ones_file(f, n=6)
+        mc = ["mc", "--rank", "1", "--trials", "2", "--depth", "10", "--seed", "3"]
+        calls = [
+            ["eval", str(f), "--depth", "0"],
+            ["mc", "--does-not-exist", "1"],
+            ["--help"],
+            ["eval", str(f), "--depth", "3"],
+            ["eval", str(f)],
+            mc + ["--out", "{dir}/trace.csv", "--summary-out", "{dir}/summary.json"],
+            mc + ["--out", "{dir}/trace.csv"],
+        ]
+        codes = []
+        for i, call in enumerate(calls):
+            runs = []
+            for side in ("in-process", "fresh"):
+                where = tmp_path / f"{side}-{i}"
+                where.mkdir()
+                argv = [arg.format(dir=where) for arg in call]
+                if side == "fresh":
+                    proc = run_cli_module(*argv)
+                    result = (proc.returncode, proc.stdout, proc.stderr)
+                else:
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        rc = cli_main(argv)
+                    result = (rc, out.getvalue(), err.getvalue())
+                files = {p.name: p.read_bytes() for p in sorted(where.iterdir())}
+                runs.append((result[0], result[1].replace(str(where), "DIR"), result[2], files))
+            assert runs[0] == runs[1], call
+            codes.append(runs[0][0])
+        assert codes == [2, 2, 0, 0, 0, 0, 0]
+
+    def test_importing_builds_no_parser(self):
+        proc = run_python("-c", "import sys, conecf; print('conecf.cli' in sys.modules); "
+                                "import conecf.cli; print(conecf.cli._parser.cache_info().currsize)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "0"]
 
 
 class TestUsage:

@@ -574,19 +574,27 @@ class TestDepthStack:
             assert np.array_equal(got_general[m], want_general[m]), m
             assert np.array_equal(got_ordinary[m], want_ordinary[m]), m
 
-    def test_ordinary_term_leaving_the_cone_raises_as_the_per_depth_loop_does(self):
-        # seqfile-r3's file at seed 310, batch 345: a_12 misses the relative cone margin
+    def test_ordinary_term_leaving_the_cone_raises_as_the_per_depth_loop_does(self, monkeypatch):
+        # a_7 planted indefinite: depth 7's ordinary pass has no Cholesky factor at level 7
         head, xs, ys = seqfile_arrays(310, 345)
         seq = CFSequence(xs, ys, head)
+        transform = contfrac.to_ordinary_raw
+
+        def planted(ls, ys):
+            terms = transform(ls, ys)
+            terms[6:7] = np.diag([1.0, -1.0, 1.0])
+            return terms
+
+        monkeypatch.setattr(contfrac, "to_ordinary_raw", planted)
         with pytest.raises(ConeMembershipError) as per_depth:
             equiv_per_depth(seq, 12)
-        with pytest.raises(ConeMembershipError) as stacked:
+        with pytest.raises(contfrac.OrdinaryBreakdown) as stacked:
             cf_depths(seq, 12)
         assert str(stacked.value) == str(per_depth.value)
-        assert str(stacked.value).startswith("ordinary term at level 12 leaves the cone: ")
-        assert "stack index" not in str(stacked.value)
+        assert str(stacked.value) == "ordinary term at level 7 has no Cholesky factor in double precision"
+        assert stacked.value.depth == 7
         # one depth less evaluates, as the loop does
-        for got, want in zip(cf_depths(seq, 11), equiv_per_depth(seq, 11)):
+        for got, want in zip(cf_depths(seq, 6), equiv_per_depth(seq, 6)):
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
@@ -701,6 +709,8 @@ class TestTypes:
             CFSequence((scal(1.0), identity(2)))
         with pytest.raises(ValueError, match="head"):
             CFSequence(ones(2), head=identity(2))
+        with pytest.raises(ValueError, match=r"^mixed or non-square: ys level 1 is \(3, 3\), xs level 1 \(2, 2\)$"):
+            CFSequence(np.broadcast_to(np.eye(2), (3, 2, 2)), np.broadcast_to(np.eye(3), (3, 3, 3)))
 
     def test_sequence_is_certified_once_into_read_only_arrays(self):
         seq = CFSequence(ones(3), [np.eye(1)] * 3, SymMatrix(np.array([[2.0]])))

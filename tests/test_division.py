@@ -17,7 +17,7 @@ from conecf import (
     quad_rep_apply,
     rel_residual,
 )
-from conecf.division import chol_raw, pi_raw
+from conecf.division import chol_inv_raw, chol_raw, pi_raw
 from conecf.jordan import ASSERT_TOL
 
 from helpers import make_spd, make_sym
@@ -223,3 +223,40 @@ class TestSubstitution:
         with np.errstate(all="raise"):
             for mode in ("inv", "star_inv"):
                 assert not np.isfinite(pi_raw(l, x, mode)).all()
+
+
+class TestCholeskyInverse:
+    """``chol_inv_raw``: the inverse through the Cholesky factor, certified by the factor."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_stack_equals_per_matrix_calls_and_inverts(self, r, rng):
+        a = np.array([make_spd(r, rng, scale=s).mat for s in np.geomspace(1e-6, 1e6, 7)])
+        inv = chol_inv_raw(a, "matrix")
+        for t in range(7):
+            assert np.array_equal(inv[t], chol_inv_raw(a[t], "matrix"))
+            assert rel_residual(inv[t] @ a[t], np.eye(r)) < 1e-12
+
+    def test_badly_scaled_matrix_the_margin_refuses_is_inverted_accurately(self):
+        # d c d with c well conditioned: the relative eigenvalue margin refuses it,
+        # but Cholesky's accuracy depends on c alone (van der Sluis; Demmel 1989)
+        c = np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]])
+        d = np.diag([1.0, 1e-6, 1e-12])
+        a = d @ c @ d
+        assert in_cone(SymMatrix(a)) is None
+        got = chol_inv_raw(a, "matrix")
+        with mpmath.workdps(50):
+            ref, dm = mpmath.inverse(mpmath.matrix(a.tolist())), mpmath.matrix(d.tolist())
+            # the error in d a^{-1} d, whose entries are of order one
+            err = mpmath.mnorm(dm * (mpmath.matrix(got.tolist()) - ref) * dm, "f") / mpmath.mnorm(dm * ref * dm, "f")
+        assert err < 1e-14
+
+    def test_the_first_slot_without_a_factor_is_named(self):
+        a = np.array(np.broadcast_to(np.eye(2), (4, 2, 2)))
+        a[2] = np.diag([1.0, -1.0])
+        a[3] = np.diag([np.inf, 1.0])
+        with pytest.raises(ConeMembershipError, match=r"^term \(stack index \(2,\)\) has no Cholesky factor"):
+            chol_inv_raw(a, "term")
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for bad in (a[2], a[3], np.diag([1e-320, 1.0]), np.diag([1.0, np.nan])):
+                with pytest.raises(ConeMembershipError, match=r"^term has no Cholesky factor in double precision$"):
+                    chol_inv_raw(bad, "term")
