@@ -80,12 +80,12 @@ from .jordan import (
     ConeMembershipError,
     SymMatrix,
     cone,
+    cone_checked_raw,
     frob_norm,
     inv_cone_raw,
     min_eig_raw,
     open_cone_test,
     rel_residual,
-    sym_checked_raw,
     sym_raw,
 )
 
@@ -135,9 +135,8 @@ class CFSequence:
     Given as ``(n, r, r)`` arrays or as lists of matrices (raw arrays,
     SymMatrix or ConeElement values), held as read-only arrays, ``(n, r, r)``
     or ``(r, r)``.  Certified once, here, unless all are ConeElement values,
-    which carry their certificate: SymMatrix's checks and the open-cone test
-    each run once over the whole sequence, and the first matrix that fails
-    is named (``xs level 3``).
+    which carry their certificate: ``cone_checked_raw`` runs once over the
+    whole sequence, and the first matrix that fails is named (``xs level 3``).
     """
 
     xs: np.ndarray
@@ -165,11 +164,7 @@ class CFSequence:
             start += len(block)
         stack = np.concatenate(blocks, dtype=float)
         if not all(isinstance(m, ConeElement) for ms in given.values() for m in ms):
-            stack = sym_checked_raw(stack, names.__getitem__)
-            mn, ok = open_cone_test(stack)
-            if not ok.all():
-                i = int(np.argmin(ok))
-                raise ConeMembershipError(f"{names[i]} leaves the cone: smallest eigenvalue {mn[i]:.3e}")
+            stack = cone_checked_raw(stack, names.__getitem__)
         stack.flags.writeable = False
         for i, name in enumerate(given):
             object.__setattr__(self, name, stack[-1] if name == "head" else stack[i * n : (i + 1) * n])
@@ -184,18 +179,20 @@ class CFSequence:
 
 @dataclass(frozen=True, eq=False)
 class ConvergentTrace:
-    """R_1..R_depth and, for k < depth, w_k, its norms and its smallest eigenvalue, at index k - 1."""
+    """R_1..R_depth and, for k < depth, w_k, its norm and its smallest eigenvalue, at index k - 1."""
 
     convergents: np.ndarray
     w: np.ndarray
     delta_norm: np.ndarray
-    wk_norm: np.ndarray
     margins: np.ndarray
 
     def csv_text(self) -> str:
-        """CSV rows ``k,delta_norm,wk_norm,in_cone_margin`` (equal norms), blank where w_k is not."""
-        cells = zip(self.delta_norm.tolist(), self.wk_norm.tolist(), self.margins.tolist())
-        rows = [f"{k},{d!r},{w!r},{m!r}" for k, (d, w, m) in enumerate(cells, start=1)]
+        """CSV rows ``k,delta_norm,wk_norm,in_cone_margin``, blank where w_k is not.
+
+        ``delta_norm`` = ||R_{k+1} - R_k|| and ``wk_norm`` = ||w_k|| are the same number, written twice.
+        """
+        cells = zip(self.delta_norm.tolist(), self.margins.tolist())
+        rows = [f"{k},{d!r},{d!r},{m!r}" for k, (d, m) in enumerate(cells, start=1)]
         rows.append(f"{len(self.convergents)},,,")
         return "\n".join(["k,delta_norm,wk_norm,in_cone_margin", *rows]) + "\n"
 
@@ -219,9 +216,9 @@ def _adjoint_chain(chain):
     return [(_ADJOINT[kind], arg) for kind, arg in reversed(chain)]
 
 
-def _check_index(k: int, have: int, least: int = 1) -> None:
-    if not least <= k <= have:
-        raise ValueError(f"index {k} out of range [{least}, {have}]")
+def _check_index(k: int, have: int) -> None:
+    if not 1 <= k <= have:
+        raise ValueError(f"index {k} out of range [1, {have}]")
     if k > DEPTH_CAP:
         raise ValueError(f"depth {k} exceeds the hard cap {DEPTH_CAP}")
 
@@ -567,17 +564,14 @@ def u_raw(
     """
     e = np.eye(zarrs[0].shape[-1])
     T = _suffixes(zarrs, zls, None, m)  # T[j] = [z_{j+1} .. z_m]
-    inv_cache: dict[int, np.ndarray] = {}
+    # (e + [z_start .. z_m])^{-1} by 1-based start, in the order the sum first reads them
+    qs = {start: inv_cone_raw(e + T[start - 1], "unit tail denominator") for start in range(m, 2, -1)}
     H = e.copy()
     for i in range(0, m - 2):
         v = e + T[m - i - 1]
         for j in range(i, -1, -1):
             start = m - j  # 1-based start of [z_{m-j} .. z_m]
-            q = inv_cache.get(start)
-            if q is None:
-                q = inv_cone_raw(e + T[start - 1], "unit tail denominator")
-                inv_cache[start] = q
-            v = q @ v @ q
+            v = qs[start] @ v @ qs[start]
             v = _pi_raw(zls[start - 1], v, "star")
         H = H + ((-1.0) ** (i + 1)) * v
     u = e + _pi_raw(zls[m], H, "star")
@@ -600,20 +594,17 @@ def u_vec(xs: Sequence[ConeElement], k: int) -> ConeElement:
     return cone(SymMatrix(u), f"u_{k}")
 
 
-def _f_closed_chain(arrs, ls, k: int):
-    """Operator chain and sign for the closed two-step inverse difference."""
-    r = arrs[0].shape[0]
-    e = np.eye(r)
-    if k == 1:
-        return [("plain", ls[0]), ("star_inv", ls[1]), ("star_inv", ls[2])], 1.0
+def _tail_chain(arrs: np.ndarray, ls: np.ndarray, k: int, first: int, u: np.ndarray) -> list:
+    """The body shared by the chains of F_k and Q_k, with S = ``_suffixes`` of the first k levels:
+
+    [star_inv l_{i-1}, quad(e + S[i])] for i = first..k-1, then [star_inv l_{k-1}, star_inv l_k, quad u].
+    """
+    e = np.eye(arrs.shape[-1])
     S = _suffixes(arrs, ls, None, k)
-    chain = [("plain", ls[0])]
-    for i in range(2, k):
-        chain.append(("star_inv", ls[i - 1]))
-        chain.append(("quad", e + S[i]))
-    _, u = u_raw(arrs[: k + 1], ls[: k + 1], k)
-    chain += [("star_inv", ls[k - 1]), ("star_inv", ls[k]), ("quad", u), ("star_inv", ls[k + 1])]
-    return chain, (-1.0) ** (k + 1)
+    chain = []
+    for i in range(first, k):
+        chain += [("star_inv", ls[i - 1]), ("quad", e + S[i])]
+    return chain + [("star_inv", ls[k - 1]), ("star_inv", ls[k]), ("quad", u)]
 
 
 def f_closed(xs: Sequence[ConeElement], k: int) -> SymMatrix:
@@ -625,30 +616,25 @@ def f_closed(xs: Sequence[ConeElement], k: int) -> SymMatrix:
     if k < 1:
         raise ValueError("need k >= 1")
     _check_index(k + 2, len(xs))
-    arrs = [x.mat for x in xs[: k + 2]]
-    ls = [_chol_raw(a) for a in arrs]
-    chain, sign = _f_closed_chain(arrs, ls, k)
-    e = np.eye(arrs[0].shape[0])
-    return SymMatrix(sign * _apply_chain(chain, e))
+    arrs = np.stack([x.mat for x in xs[: k + 2]])
+    ls = _chol_raw(arrs)
+    if k == 1:
+        chain, sign = [("plain", ls[0]), ("star_inv", ls[1]), ("star_inv", ls[2])], 1.0
+    else:
+        u = u_raw(arrs[: k + 1], ls[: k + 1], k)[1]
+        chain = [("plain", ls[0])] + _tail_chain(arrs, ls, k, 2, u) + [("star_inv", ls[k + 1])]
+        sign = (-1.0) ** (k + 1)
+    return SymMatrix(sign * _apply_chain(chain, np.eye(arrs.shape[-1])))
 
 
 def _q_chain(xs: Sequence[ConeElement], k: int):
     """Operator chain for the jump automorphism Q_k."""
-    arrs = [x.mat for x in xs[: k + 2]]
-    ls = [_chol_raw(a) for a in arrs]
-    r = arrs[0].shape[0]
-    e = np.eye(r)
-    zarrs = [e] + arrs[: k + 1]
-    zls = [np.eye(r)] + ls[: k + 1]
-    H, u = u_raw(zarrs, zls, k + 1)
+    arrs = np.stack([x.mat for x in xs[: k + 2]])
+    ls = _chol_raw(arrs)
+    e = np.eye(arrs.shape[-1])[None]
+    H, u = u_raw(np.concatenate([e, arrs[: k + 1]]), np.concatenate([e, ls[: k + 1]]), k + 1)
     cone(SymMatrix(H), f"unit-led tail correction H at k={k}")
-    S = _suffixes(arrs, ls, None, k)
-    chain = []
-    for i in range(1, k):
-        chain.append(("star_inv", ls[i - 1]))
-        chain.append(("quad", e + S[i]))
-    chain += [("star_inv", ls[k - 1]), ("star_inv", ls[k]), ("quad", u)]
-    return chain
+    return _tail_chain(arrs, ls, k, 1, u)
 
 
 def q_apply(xs: Sequence[ConeElement], k: int, v: ConeElement, adjoint: bool = False) -> SymMatrix:
@@ -717,10 +703,12 @@ def _differences(ls: np.ndarray, ys: Optional[np.ndarray]) -> np.ndarray:
 def trace_differences(xs: np.ndarray) -> np.ndarray:
     """The differences w_1 .. w_{depth-1} of a whole stack of unit-quotient continued fractions.
 
-    ``xs`` is a ``(trials, depth, r, r)`` array of partial numerators.  Each
-    must be finite, exactly symmetric and clear the open-cone margin, as
-    ``cone`` certifies; the first that does not raises, named by its trial
-    and level.  Returns the ``(trials, depth - 1, r, r)`` array of
+    ``xs`` is a ``(trials, depth, r, r)`` array of partial numerators,
+    certified by ``cone_checked_raw`` as a sequence file's are: each must be
+    finite, symmetric to within SymMatrix's 1e-9 relative, and clear the
+    open-cone margin; it is then symmetrized.  The first that fails raises,
+    named by its level and trial (``partial numerator x_3 of trial 1``).
+    Returns the ``(trials, depth - 1, r, r)`` array of
     w_k = (-1)^{k+1}(R_k - R_{k+1}) from the forward pass ``trace_cf`` makes
     for one sequence, bit for bit the same for every trial whatever the
     rest of the stack holds.
@@ -728,19 +716,8 @@ def trace_differences(xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 4 or xs.shape[-1] != xs.shape[-2] or xs.shape[0] < 1 or xs.shape[1] < 2:
         raise ValueError(f"expected a (trials >= 1, depth >= 2, r, r) stack, got shape {xs.shape}")
-    if not np.isfinite(xs).all():
-        raise ValueError("partial numerators must be finite")
-    asym = (xs != xs.swapaxes(-1, -2)).any(axis=(-2, -1))
-    if asym.any():
-        trial, level = np.argwhere(asym)[0].tolist()
-        raise ValueError(f"partial numerator x_{level + 1} of trial {trial} is not symmetric")
-    mn, ok = open_cone_test(xs)
-    if not ok.all():
-        trial, level = np.argwhere(~ok)[0].tolist()
-        raise ConeMembershipError(
-            f"partial numerator x_{level + 1} of trial {trial} leaves the cone: "
-            f"smallest eigenvalue {mn[trial, level]:.3e}"
-        )
+    depth = xs.shape[1]
+    xs = cone_checked_raw(xs, lambda i: f"partial numerator x_{i % depth + 1} of trial {i // depth}")
     return _differences(_chol_raw(xs), None)
 
 
@@ -762,5 +739,4 @@ def trace_cf(seq: CFSequence, depth: int) -> ConvergentTrace:
     # R_{k+1} = R_k + (-1)^k w_k, summed in level order
     steps = np.concatenate([first[None], ws])
     steps[1::2] *= -1.0
-    norms = frob_norm(ws)
-    return ConvergentTrace(sym_raw(np.cumsum(steps, axis=0)), ws, norms, norms, min_eig_raw(ws))
+    return ConvergentTrace(sym_raw(np.cumsum(steps, axis=0)), ws, frob_norm(ws), min_eig_raw(ws))

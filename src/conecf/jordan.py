@@ -10,10 +10,15 @@ All eigen work goes through ``_jacobi``, in double precision: closed
 forms at rank <= 2 and LAPACK at rank >= 3.
 
 The raw-array primitives (``_jacobi``, ``sym_raw``, ``sym_checked_raw``,
-``power_raw``, ``inv_cone_raw``, ``min_eig_raw``, ``frob_norm``,
-``rel_residual``, ``open_cone_test``, ``closed_cone_test``) take one matrix or a
-``(..., r, r)`` stack, and treat each matrix of a stack exactly as they
-treat it alone, so whole experiments certify in one call.
+``cone_checked_raw``, ``power_raw``, ``inv_cone_raw``, ``min_eig_raw``,
+``frob_norm``, ``rel_residual``, ``open_cone_test``, ``closed_cone_test``)
+take one matrix or a ``(..., r, r)`` stack, and treat each matrix of a
+stack exactly as they treat it alone, so whole experiments certify in one
+call.
+
+The certification policy lives here alone: ``cone_checked_raw`` certifies
+matrices from outside the package, ``cone`` and ``inv_cone_raw`` computed
+values, all in one error format, and ``open_cone_test`` gives bare verdicts.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ __all__ = [
     "sym_raw",
     "sym_checked_raw",
     "open_cone_test",
+    "cone_checked_raw",
     "inv_cone_raw",
     "frob_norm",
     "rel_residual",
@@ -307,18 +313,18 @@ def _open_cone(w: np.ndarray) -> list:
     return out
 
 
-def _open_cone_min(w: np.ndarray, what: str) -> float:
-    """The smallest eigenvalue of the first matrix of ``what``, if every matrix clears the margin.
+def _open_cone_min(w: np.ndarray, name) -> float:
+    """The smallest eigenvalue of the first matrix, if every matrix of eigenvalues ``w`` clears the margin.
 
-    For a stack the error names the index of the first matrix that fails.
+    The first that does not raises ConeMembershipError named ``name(i)``,
+    ``i`` its flat index in the stack: jordan's one text for a matrix outside
+    the open cone.
     """
     verdicts = _open_cone(w)
     for i, (mn, norm, ok) in enumerate(verdicts):
         if not ok:
-            index = tuple(int(j) for j in np.unravel_index(i, w.shape[:-1]))
-            where = f" (stack index {index})" if w.ndim > 1 else ""
             raise ConeMembershipError(
-                f"{what}{where} leaves the cone: smallest eigenvalue {mn:.3e}, norm {norm:.3e}"
+                f"{name(i)} leaves the cone: smallest eigenvalue {mn:.3e}, norm {norm:.3e}"
             )
     return float(verdicts[0][0])
 
@@ -336,6 +342,18 @@ def open_cone_test(a: np.ndarray):
     return np.array(mn).reshape(w.shape[:-1]), np.array(ok).reshape(w.shape[:-1])
 
 
+def cone_checked_raw(a: np.ndarray, name) -> np.ndarray:
+    """``sym_checked_raw(a, name)`` of a raw array or stack whose every matrix clears the open-cone margin.
+
+    The one certification of matrices from outside the package: SymMatrix's
+    checks, its symmetrization and ``cone``'s margin, each run once over
+    the stack.  The first matrix that fails raises, named ``name(i)``.
+    """
+    a = sym_checked_raw(a, name)
+    _open_cone_min(_jacobi(a)[0], name)
+    return a
+
+
 def inv_cone_raw(a: np.ndarray, what: str) -> np.ndarray:
     """Inverse of a raw array (or of each in a stack) that must clear the open-cone margin.
 
@@ -343,7 +361,9 @@ def inv_cone_raw(a: np.ndarray, what: str) -> np.ndarray:
     the index of the first slot that fails.
     """
     w, v = _jacobi(a)
-    _open_cone_min(w, what)
+    stack = w.shape[:-1]
+    _open_cone_min(w, lambda i: f"{what} (stack index {tuple(map(int, np.unravel_index(i, stack)))})"
+                   if stack else what)
     inv = (v / w[..., None, :]) @ v.swapaxes(-1, -2)
     return (inv + inv.swapaxes(-1, -2)) / 2.0
 
@@ -378,7 +398,7 @@ def in_cone(x: SymMatrix) -> Optional[ConeElement]:
 
 def cone(x: SymMatrix, what: str = "matrix") -> ConeElement:
     """Like in_cone but raising ConeMembershipError, naming ``what``, on the negative answer."""
-    return ConeElement(x, _open_cone_min(_jacobi(x.mat)[0], what))
+    return ConeElement(x, _open_cone_min(_jacobi(x.mat)[0], lambda i: what))
 
 
 def closed_cone_test(d: np.ndarray):
@@ -411,16 +431,27 @@ def to_json_dict(x) -> dict:
     return {"r": int(a.shape[0]), "data": [[float(t) for t in row] for row in a]}
 
 
+def _json_checked(items: list) -> int:
+    """The size r of JSON matrix encodings that are all ``{"r": r, "data": r rows of r numbers}``.
+
+    Otherwise ValueError, for one item ``from_json_raw``'s.  Booleans are not numbers here.
+    """
+    if not all(isinstance(d, dict) and type(d.get("r")) is int and isinstance(d.get("data"), list) for d in items):
+        raise ValueError('expected a matrix {"r": size, "data": [rows]}')
+    r = items[0]["r"]
+    rows = [row for d in items for row in d["data"]]
+    if (any(d["r"] != r or len(d["data"]) != r for d in items)
+            or not all(isinstance(row, list) and len(row) == r for row in rows)):
+        raise ValueError(f"matrix data does not match declared size r={r}")
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
+        raise ValueError("matrix entries must be numbers")
+    return r
+
+
 def from_json_raw(d: dict) -> np.ndarray:
     """The JSON matrix encoding as a square array; any other shape (true/false too) raises ValueError."""
-    if not (isinstance(d, dict) and type(d.get("r")) is int and isinstance(d.get("data"), list)):
-        raise ValueError('expected a matrix {"r": size, "data": [rows]}')
-    r, data = d["r"], d["data"]
-    if len(data) != r or any(not isinstance(row, list) or len(row) != r for row in data):
-        raise ValueError(f"matrix data does not match declared size r={r}")
-    if not all(type(t) in (int, float) for row in data for t in row):
-        raise ValueError("matrix entries must be numbers")
-    return _as_square_float(data)
+    _json_checked([d])
+    return _as_square_float(d["data"])
 
 
 def from_json_stack(items: list):
@@ -430,15 +461,9 @@ def from_json_stack(items: list):
     first malformed item raises its error, and well-formed items of
     different sizes come back as a list of arrays.
     """
-    r = items[0].get("r") if items and isinstance(items[0], dict) else None
-    if (type(r) is int and r > 0
-            and all(isinstance(d, dict) and type(d.get("r")) is int and d["r"] == r
-                    and isinstance(d.get("data"), list) and len(d["data"]) == r for d in items)):
-        rows = [row for d in items for row in d["data"]]
-        if (all(isinstance(row, list) and len(row) == r for row in rows)
-                and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}):
-            try:
-                return np.array([d["data"] for d in items], dtype=float)
-            except OverflowError:  # an integer beyond the double range; its item names it below
-                pass
+    try:
+        if items and _json_checked(items) > 0:
+            return np.array([d["data"] for d in items], dtype=float)
+    except (ValueError, OverflowError):
+        pass  # a malformed item, mixed sizes or an integer beyond the double range: named below
     return [from_json_raw(d) for d in items]

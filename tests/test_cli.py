@@ -187,6 +187,7 @@ MALFORMED_ITEMS = {
     "wrong_r": ({"r": 3, "data": [[1.0, 0.0], [0.0, 1.0]]}, "matrix data does not match declared size r=3"),
     "non_dict": ([[1.0, 0.0], [0.0, 1.0]], 'expected a matrix {"r": size, "data": [rows]}'),
     "other_size": ({"r": 1, "data": [[1.0]]}, None),
+    "huge_int": ({"r": 2, "data": [[1.0, 0.0], [0.0, 10**400]]}, "int too large to convert to float"),
 }
 
 

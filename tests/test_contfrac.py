@@ -1,3 +1,5 @@
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -43,7 +45,7 @@ from conecf.contfrac import (
     w_seq_raw,
 )
 from conecf.division import _chol_raw, pi_raw
-from conecf.jordan import ASSERT_TOL, _jacobi
+from conecf.jordan import ASSERT_TOL, _jacobi, sym_raw
 
 from helpers import make_spd
 
@@ -354,7 +356,7 @@ class TestTrace:
         assert lines[0] == "k,delta_norm,wk_norm,in_cone_margin"
         assert len(lines) == 5
         first = lines[1].split(",")
-        assert first[0] == "1" and float(first[1]) == 0.5
+        assert first[0] == "1" and float(first[1]) == 0.5 and first[2] == first[1]
 
     def test_general_case_head(self):
         seq = CFSequence(scalars(4.0, 4.0), scalars(2.0, 2.0), head=scal(1.0))
@@ -729,3 +731,35 @@ class TestTypes:
             CFSequence([eye, np.array([[1.0, 0.5], [0.0, 1.0]])])
         with pytest.raises(ValueError, match="^ys level 1 entries must be finite"):
             CFSequence([eye], [np.array([[1.0, 0.0], [0.0, np.inf]])])
+
+
+# one matrix from outside, and jordan's verdict on it: None where it is
+# accepted, and then symmetrized, else the error and the text after its name
+OUTSIDE = {
+    "asymmetric_1e-12": (np.array([[1.0, 1e-12], [0.0, 1.0]]), None),
+    "nan": (np.array([[1.0, 0.0], [0.0, np.nan]]), (ValueError, "entries must be finite")),
+    "margin": (np.diag([1.0, 1e-12]),
+               (ConeMembershipError, "leaves the cone: smallest eigenvalue 1.000e-12, norm 1.000e+00")),
+}
+
+# each entry point, the name it gives x_3 of trial 1, and what it makes of the (trials, levels, r, r) stack
+ENTRIES = {
+    "SymMatrix": ("matrix", lambda xs: cone(SymMatrix(xs[1, 2])).mat),
+    "CFSequence": ("xs level 3", lambda xs: CFSequence(xs[1]).xs),
+    "trace_differences": ("partial numerator x_3 of trial 1", trace_differences),
+}
+
+
+class TestOneCertifier:
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("fault", sorted(OUTSIDE))
+    def test_every_entry_gives_the_same_verdict(self, fault, entry):
+        bad, error = OUTSIDE[fault]
+        name, read = ENTRIES[entry]
+        eye = np.eye(2)
+        xs = np.array([[eye] * 4, [eye, eye, bad, eye]])
+        if error is None:
+            assert np.array_equal(read(xs), read(sym_raw(xs)))
+        else:
+            with pytest.raises(error[0], match=f"^{re.escape(f'{name} {error[1]}')}"):
+                read(xs)

@@ -3,7 +3,8 @@
 Each module owns its private helpers: jordan the eigen work, division the
 triangular congruences, randmat the sampling, contfrac the tail-first
 kernel.  A sibling that needs one goes through a public name.  jordan also
-owns the certification policy: no other module names its tolerances.
+owns the certification policy: no other module names its tolerances or
+words its error for a matrix outside the cone.
 numpy is the only runtime dependency: nothing under the package imports
 scipy, directly or through another package.  Everything computes in
 double precision: no module names numpy's longdouble.
@@ -64,6 +65,14 @@ def test_only_jordan_names_the_certification_tolerances():
         if path.name != "jordan.py" and (names := mentioned_names(path) & POLICY_NAMES)
     }
     assert offenders == {}
+
+
+def test_only_jordan_words_the_cone_membership_error():
+    offenders = sorted(
+        path.name for path in PACKAGE.glob("*.py")
+        if path.name != "jordan.py" and "leaves the cone" in path.read_text()
+    )
+    assert offenders == []
 
 
 def test_module_entry_point_runs_without_runtime_warnings():
