@@ -46,6 +46,7 @@ from .randmat import (
     gamma_omega,
     sample_beta2,
     sample_wishart,
+    sample_wishart_seq,
     split_stream,
 )
 from .harness import (

@@ -21,8 +21,9 @@ as ``(trials, depth, r, r)`` stacks of bounded size whose every step acts
 on each trial by itself.  So a trial's rows depend only on (seed,
 trial_id), not on how many trials run, and with fixed output formatting
 equal configurations produce byte-identical artifacts.  The identity suite
-draws each identity's cases from ``split_stream(master, i)``, one
-``sample_wishart`` call per matrix in case order, and then evaluates the
+draws each identity's cases from ``split_stream(master, i)`` as successive
+single Wishart draws in case order, a stack of them at a time through
+``sample_wishart_seq`` (bit for bit the single draws), and then evaluates the
 map identities, the ordinary equivalence (one stack per length n) and the
 alternation (one forward trace, one tail-correction stack per index k) as
 stacks of cases, each case bit for bit as it evaluates alone; a case that
@@ -54,7 +55,6 @@ from .contfrac import (
 )
 from .division import chol_raw, pi_apply, pi_raw
 from .jordan import (
-    ConeElement,
     ConeMembershipError,
     closed_cone_test,
     cone_checked_raw,
@@ -67,7 +67,7 @@ from .jordan import (
     rel_residual,
     sym_raw,
 )
-from .randmat import Beta2Params, RngStream, sample_beta2, sample_wishart, split_stream
+from .randmat import Beta2Params, RngStream, sample_beta2, sample_wishart, sample_wishart_seq, split_stream
 
 __all__ = [
     "ExperimentConfig",
@@ -105,6 +105,8 @@ class ExperimentConfig:
     law: str = "beta2"
 
     def __post_init__(self) -> None:
+        if self.rank < 1:
+            raise ValueError(f"rank must be at least 1, got {self.rank}")
         if self.depth < 4:
             raise ValueError(f"depth must be at least 4, got {self.depth}")
         if self.trials < 1:
@@ -262,19 +264,6 @@ def summary_json(summary: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _wishart_elem(rank: int, stream: RngStream) -> ConeElement:
-    return sample_wishart(3.0, rank, stream)
-
-
-def _wishart_draws(rank: int, stream: RngStream, count: int) -> np.ndarray:
-    """``count`` draws as a ``(count, r, r)`` stack, one ``sample_wishart`` call each.
-
-    Each call reads the stream as the single draw does, so the stack holds
-    the matrices ``_wishart_elem`` would give, in the same order.
-    """
-    return np.concatenate([sample_wishart(3.0, rank, stream, n=1) for _ in range(count)])
-
-
 def _each_case(evaluate, stack: np.ndarray) -> list:
     """``evaluate``'s per-case results over a case-major stack, with failing cases as None.
 
@@ -332,16 +321,21 @@ def run_identity_suite(rank: int, cases: int, seed: int) -> dict:
     closed forms, jumps) run cases/10 sequences each, every sequence
     exercising about ten indices.
 
-    Cases are drawn and stacked as the module docstring says; every step
-    acts on each case alone and a case that fails certification is
-    skipped by itself (``_each_case``), so each residual is bit for bit
-    the one per-case evaluation gives.  The jump identity stays per case
+    Cases are drawn as the module docstring says: one
+    ``sample_wishart_seq`` call per section of pairs, per equivalence case
+    and for all the alternation chains, and single ``sample_wishart``
+    draws for the closed-form and jump cases.  Every step acts on each
+    case alone and a case that fails certification is skipped by itself
+    (``_each_case``), so each residual is bit for bit the one per-case
+    evaluation gives.  The jump identity stays per case
     because it draws its ``y`` only after the case evaluated without
     error, so the stream position of every later case depends on the
     outcomes.  The closed form stays per case because ``f_closed`` and
     ``f_direct`` build an operator chain per sequence and index and have
     no stacked form.
     """
+    if rank < 1:
+        raise ValueError(f"rank must be at least 1, got {rank}")
     if rank > 4:
         raise ValueError(f"the suite runs at rank <= 4, got {rank}")
     if cases < 1:
@@ -360,7 +354,7 @@ def run_identity_suite(rank: int, cases: int, seed: int) -> dict:
         }
 
     def pairs(stream_id: int) -> tuple[np.ndarray, np.ndarray]:
-        drawn = _wishart_draws(rank, split_stream(master, stream_id), 2 * cases)
+        drawn = sample_wishart_seq(3.0, rank, split_stream(master, stream_id), 2 * cases)
         return drawn[0::2], drawn[1::2]
 
     # factorization identity: multiply-then-adjoint equals the quadratic map
@@ -394,7 +388,7 @@ def run_identity_suite(rank: int, cases: int, seed: int) -> dict:
     for c in range(cases):
         n = 1 + c % 12
         try:
-            drawn = _wishart_draws(rank, stream, 2 * n + 1)
+            drawn = sample_wishart_seq(3.0, rank, stream, 2 * n + 1)
         except ConeMembershipError:
             skipped += 1
             continue
@@ -409,7 +403,8 @@ def run_identity_suite(rank: int, cases: int, seed: int) -> dict:
     # sign alternation and decrease of the unit-chain differences
     depth = 10
     stream = split_stream(master, 5)
-    xs = np.array([_wishart_draws(rank, stream, depth + 1) for _ in range(max(1, cases // 10))])
+    chains = max(1, cases // 10)
+    xs = sample_wishart_seq(3.0, rank, stream, chains * (depth + 1)).reshape(chains, depth + 1, rank, rank)
     breaches = _each_case(_decrease_breaches, xs)
     alternating = xs[[b is not None for b in breaches]]
     h_violations = 0
@@ -426,7 +421,7 @@ def run_identity_suite(rank: int, cases: int, seed: int) -> dict:
     for c in range(max(1, cases // 10)):
         k = 1 + c % 8
         try:
-            xs = tuple(_wishart_elem(rank, stream) for _ in range(k + 2))
+            xs = tuple(sample_wishart(3.0, rank, stream) for _ in range(k + 2))
             worst = max(worst, rel_residual(f_closed(xs, k), f_direct(xs, k)))
         except ConeMembershipError:
             skipped += 1
@@ -441,10 +436,10 @@ def run_identity_suite(rank: int, cases: int, seed: int) -> dict:
     for c in range(max(1, cases // 10)):
         k = 2 + c % 7
         try:
-            xs = tuple(_wishart_elem(rank, stream) for _ in range(k + 2))
+            xs = tuple(sample_wishart(3.0, rank, stream) for _ in range(k + 2))
             jump = q_apply(xs, k, inverse(xs[k + 1]))
             worst = max(worst, rel_residual(jump, jump_direct(xs, k)))
-            y = _wishart_elem(rank, stream)
+            y = sample_wishart(3.0, rank, stream)
             adj = q_apply(xs, k, y, adjoint=True)
             floor = pi_apply(xs[0], y.m, "inv")
             order_violations += closed_cone_test(adj.mat - floor.mat)[1]

@@ -18,7 +18,8 @@ call.
 
 The certification policy lives here alone: ``cone_checked_raw`` certifies
 matrices from outside the package, ``cone`` and ``inv_cone_raw`` computed
-values, all in one error format, and ``open_cone_test`` gives bare verdicts.
+values, all in one error format, and ``open_cone_test`` gives bare verdicts,
+whose exactly symmetric arrays ``certified`` makes ConeElements.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
     "inverse",
     "in_cone",
     "cone",
+    "certified",
     "closed_cone_test",
     "eigenvalues_dominate",
     "min_eig_raw",
@@ -399,6 +401,21 @@ def in_cone(x: SymMatrix) -> Optional[ConeElement]:
 def cone(x: SymMatrix, what: str = "matrix") -> ConeElement:
     """Like in_cone but raising ConeMembershipError, naming ``what``, on the negative answer."""
     return ConeElement(x, _open_cone_min(_jacobi(x.mat)[0], lambda i: what))
+
+
+def certified(a: np.ndarray, min_eig: float) -> ConeElement:
+    """The ConeElement of a square array already certified in the open cone, with its smallest eigenvalue.
+
+    For draws ``open_cone_test`` has just certified: SymMatrix's checks are
+    skipped, so the array must be exactly symmetric, or ValueError.  It is
+    stored as given, made read-only.
+    """
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not (a == a.T).all():
+        raise ValueError("a certified matrix must be square and exactly symmetric")
+    a.flags.writeable = False
+    m = object.__new__(SymMatrix)
+    object.__setattr__(m, "mat", a)
+    return ConeElement(m, float(min_eig))
 
 
 def closed_cone_test(d: np.ndarray):

@@ -482,3 +482,22 @@ class TestUsage:
         write_general_file(f)
         assert cli_main(["equiv", str(f), "--depth", depth]) == 2
         assert "--depth" in capsys.readouterr().err
+
+
+class TestRefusedParameters:
+    """A rank below 1 or an infinite shape is refused up front: exit 1, and the error is all of stderr."""
+
+    @pytest.mark.parametrize("argv, error", [
+        (["identities", "--rank", "0"], "rank must be at least 1, got 0"),
+        (["identities", "--rank", "-1"], "rank must be at least 1, got -1"),
+        (["sample", "--dist", "wishart", "--rank", "0"], "rank must be at least 1, got 0"),
+        (["sample", "--dist", "beta2", "--rank", "0"], "rank must be at least 1, got 0"),
+        (["mc", "--law", "identity", "--rank", "0", "--trials", "1", "--depth", "5"],
+         "rank must be at least 1, got 0"),
+        (["sample", "--dist", "wishart", "--s", "inf"], "shapes must be finite, got s=inf"),
+        (["sample", "--dist", "beta2", "--p", "inf"], "shapes must be finite, got p=inf, q=3.0"),
+        (["mc", "--a", "inf", "--trials", "1", "--depth", "5"], "shapes must be finite, got p=3.0, q=inf"),
+    ])
+    def test_refused_with_one_error_line(self, argv, error):
+        proc = run_cli_module(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {error}\n")

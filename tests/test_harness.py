@@ -256,13 +256,16 @@ def per_case_report(rank: int, cases: int, seed: int) -> dict:
     return {"skipped": skipped, "identities": checks}
 
 
-def spiked_sampler(spikes: dict, rank: int):
-    """``sample_wishart`` with the draws ``spikes[stream_index]`` names replaced by diag(1, .., 1, 1e-11).
+def spiked_samplers(spikes: dict, rank: int):
+    """``sample_wishart`` and ``sample_wishart_seq`` with the draws ``spikes[stream_index]`` names replaced.
 
-    A replaced draw reads the stream as the real one does.  The spike is
-    positive definite but misses the open-cone margin (which every real
-    draw clears), so the cases holding one fail certification somewhere;
-    as a single draw it carries a hand-made certificate.
+    A spike is diag(1, .., 1, 1e-11).  Both samplers count draws per stream
+    alike, one index per single draw or per slot of a stacked run, so a
+    spike lands on the same draw whichever of them makes it.  A replaced
+    draw reads the stream as the real one does.  The spike is positive
+    definite but misses the open-cone margin (which every real draw clears),
+    so the cases holding one fail certification somewhere; as a single
+    draw it carries a hand-made certificate.
     """
     ids = {split_stream(RngStream(0), i).stream_id: hit for i, hit in spikes.items()}
     counts: dict = {}
@@ -277,7 +280,10 @@ def spiked_sampler(spikes: dict, rank: int):
             return drawn
         return ConeElement(SymMatrix(drawn[0]), float(np.linalg.eigvalsh(drawn[0])[0]))
 
-    return sample
+    def sample_seq(s, r, rng, count):
+        return np.concatenate([sample(s, r, rng, n=1) for _ in range(count)])
+
+    return sample, sample_seq
 
 
 class TestStackedSuite:
@@ -301,9 +307,11 @@ class TestStackedSuite:
         # section 3: both draws of every fifth case; section 4: every 17th draw;
         # section 5: every 29th draw
         spikes = {3: lambda i: i // 2 % 5 == 2, 4: lambda i: i % 17 == 5, 5: lambda i: i % 29 == 7}
-        monkeypatch.setattr(harness, "sample_wishart", spiked_sampler(spikes, rank))
+        monkeypatch.setattr(harness, "sample_wishart", spiked_samplers(spikes, rank)[0])
         want = per_case_report(rank, 120, seed=0)
-        monkeypatch.setattr(harness, "sample_wishart", spiked_sampler(spikes, rank))
+        single, seq = spiked_samplers(spikes, rank)
+        monkeypatch.setattr(harness, "sample_wishart", single)
+        monkeypatch.setattr(harness, "sample_wishart_seq", seq)
         got = self.stacked(rank, 120)
         assert got == want
         assert got["skipped"] > 24  # 24 from the antitonicity cases, the rest from the equivalence

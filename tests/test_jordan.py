@@ -24,6 +24,7 @@ from conecf import (
 from conecf.jordan import (
     EigenConvergenceError,
     _jacobi,
+    certified,
     closed_cone_test,
     inv_cone_raw,
     min_eig_raw,
@@ -324,6 +325,25 @@ class TestSymMatrixConstruction:
         m = identity(2).m
         with pytest.raises(ValueError):
             m.mat[0, 0] = 5.0
+
+
+class TestCertified:
+    def test_keeps_an_exactly_symmetric_array_and_its_certificate(self, rng):
+        x = make_spd(3, rng)
+        a = x.mat.copy()
+        mn = open_cone_test(a)[0]
+        got = certified(a, mn)
+        assert got.mat is a and not a.flags.writeable
+        assert np.array_equal(got.mat, cone(SymMatrix(a)).mat) and got.min_eig == mn
+
+    @pytest.mark.parametrize("a", [np.array([[1.0, 2.0 + 1e-15], [2.0, 5.0]]), np.eye(3)[:2], np.ones(2)])
+    def test_refuses_anything_not_square_and_exactly_symmetric(self, a):
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            certified(a, 1.0)
+
+    def test_refuses_a_certificate_that_is_not_positive(self):
+        with pytest.raises(ConeMembershipError):
+            certified(np.eye(2), 0.0)
 
 
 class TestJson:

@@ -22,8 +22,9 @@ from conecf import (
     sample_wishart,
     split_stream,
 )
+from conecf import randmat
 from conecf.jordan import open_cone_test
-from conecf.randmat import _MAX_REDRAWS, _beta2_arrays, _wishart_arrays
+from conecf.randmat import _MAX_REDRAWS, _beta2_arrays, _wishart_arrays, sample_wishart_seq
 
 
 def scal(v):
@@ -122,10 +123,22 @@ class TestWishart:
         with pytest.raises(ValueError):
             sample_wishart(0.5, 2, RngStream(0))
 
+    @pytest.mark.parametrize("s, r, error", [
+        (3.0, 0, "rank must be at least 1, got 0"),
+        (3.0, -1, "rank must be at least 1, got -1"),
+        (math.inf, 2, "shapes must be finite, got s=inf"),
+    ])
+    @pytest.mark.parametrize("n", [None, 3])
+    def test_rank_and_finite_shape_are_checked_first(self, s, r, error, n):
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            sample_wishart(s, r, RngStream(0), n=n)
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            sample_wishart_seq(s, r, RngStream(0), 3)
+
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_bartlett_draws_read_the_stream_in_order(self, r):
         # diagonal gammas row by row, then the strict lower triangle in row-major order;
-        # L L^T comes out exactly symmetric, so a single draw's SymMatrix keeps its bits
+        # L L^T comes out exactly symmetric, as jordan.certified requires of a single draw
         for n in (1, 5):
             got = _wishart_arrays(3.0, r, RngStream(17).generator, n)
             gen = RngStream(17).generator
@@ -300,6 +313,130 @@ class TestBatchedSampler:
         xs = sample_beta2(Beta2Params(2.0, 3.0, 1), split_stream(RngStream(70), 0), n=10_000)[:, 0, 0]
         assert kstest(xs, lambda t: betainc(2.0, 3.0, t / (1.0 + t))).statistic < 0.02
         assert abs(xs.mean() - 1.0) < 4.0 * xs.std() / math.sqrt(xs.size)
+
+
+def per_draw_loop(s: float, r: int, rng: RngStream, count: int) -> np.ndarray:
+    """The reference: ``count`` draws, one one-slot ``sample_wishart`` call each, concatenated.
+
+    This is how the identity suite built its stacks before ``sample_wishart_seq``.
+    """
+    return np.concatenate([sample_wishart(s, r, rng, n=1) for _ in range(count)])
+
+
+def counting(certify, sizes: list):
+    """``certify`` that also records the size of every stack it is given."""
+    def certifier(stack):
+        sizes.append(len(stack))
+        return certify(stack)
+    return certifier
+
+
+def rejecting_above(bound: float):
+    """Certification that also rejects every matrix whose [0, 0] entry exceeds ``bound``.
+
+    The verdict depends on the matrix alone, so the per-draw loop and the
+    stacked run reject the same draws.
+    """
+    def certify(stack):
+        mn, ok = open_cone_test(stack)
+        return mn, ok & ~(stack[..., 0, 0] > bound)
+    return certify
+
+
+def outcome(draw, rng: RngStream):
+    """What ``draw(rng)`` gives, its error text if it raises, and the stream position after it."""
+    try:
+        got = draw(rng)
+    except ConeMembershipError as exc:
+        got = str(exc)
+    return got, rng.generator.bit_generator.state
+
+
+class TestSuccessiveDraws:
+    """``sample_wishart_seq`` is successive single draws, bit for bit, at the cost of one certification."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_ten_thousand_draws_match_the_per_draw_loop(self, r, monkeypatch):
+        ref, seq, one = RngStream(40 + r), RngStream(40 + r), RngStream(40 + r)
+        want = per_draw_loop(3.0, r, ref, 10_000)
+        sizes = []
+        monkeypatch.setattr(randmat, "open_cone_test", counting(open_cone_test, sizes))
+        got = sample_wishart_seq(3.0, r, seq, 10_000)
+        assert sizes == [10_000]  # one certification of the whole run
+        monkeypatch.undo()
+        assert got.shape == (10_000, r, r) and not got.flags.writeable
+        assert got.tobytes() == want.tobytes()
+        singles = [sample_wishart(3.0, r, one) for _ in range(10_000)]
+        assert np.array([x.mat for x in singles]).tobytes() == want.tobytes()
+        # the parent's single draw carried the verdict of its one-slot certification
+        assert [x.min_eig for x in singles] == [float(open_cone_test(x[None])[0][0]) for x in want]
+        state = ref.generator.bit_generator.state
+        assert seq.generator.bit_generator.state == state and one.generator.bit_generator.state == state
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_runs_in_pieces_continue_the_stream(self, r):
+        rng, ref = RngStream(7), RngStream(7)
+        got = np.concatenate([sample_wishart_seq(3.0, r, rng, count) for count in (1, 5, 64, 2, 300)])
+        assert got.tobytes() == per_draw_loop(3.0, r, ref, 372).tobytes()
+        assert rng.generator.bit_generator.state == ref.generator.bit_generator.state
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_planted_failures_are_redrawn_as_single_draws_redraw_them(self, r, monkeypatch):
+        # about one draw in 30 is rejected, and one in 800 four times running
+        bound = float(np.quantile(per_draw_loop(3.0, r, RngStream(9), 2000)[:, 0, 0], 0.97))
+        monkeypatch.setattr(randmat, "open_cone_test", rejecting_above(bound))
+        want, want_state = outcome(lambda rng: per_draw_loop(3.0, r, rng, 1000), RngStream(5))
+        singles, singles_state = outcome(
+            lambda rng: np.array([sample_wishart(3.0, r, rng).mat for _ in range(1000)]), RngStream(5))
+        sizes = []
+        monkeypatch.setattr(randmat, "open_cone_test", counting(rejecting_above(bound), sizes))
+        got, got_state = outcome(lambda rng: sample_wishart_seq(3.0, r, rng, 1000), RngStream(5))
+        assert isinstance(want, np.ndarray) and (want[:, 0, 0] <= bound).all()
+        assert sizes[0] == 1000 and sizes.count(1) >= 20  # the run, then the redrawn slots one by one
+        assert got.tobytes() == want.tobytes() and singles.tobytes() == want.tobytes()
+        assert got_state == want_state and singles_state == want_state
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_exhausted_redraws_raise_where_single_draws_do(self, r, monkeypatch):
+        # half the draws are rejected, so some slot fails five rounds running
+        bound = float(np.median(per_draw_loop(3.0, r, RngStream(9), 2000)[:, 0, 0]))
+        monkeypatch.setattr(randmat, "open_cone_test", rejecting_above(bound))
+        want, want_state = outcome(lambda rng: per_draw_loop(3.0, r, rng, 400), RngStream(5))
+        singles, singles_state = outcome(lambda rng: [sample_wishart(3.0, r, rng) for _ in range(400)],
+                                         RngStream(5))
+        got, got_state = outcome(lambda rng: sample_wishart_seq(3.0, r, rng, 400), RngStream(5))
+        assert want == (f"sample_wishart: {_MAX_REDRAWS} consecutive draws of slot 0 failed cone "
+                        "certification; the shape parameters are too close to the domain edge")
+        assert got == want and singles == want
+        assert got_state == want_state and singles_state == want_state
+
+    def test_draws_near_the_domain_edge_fail_and_are_redrawn_alike(self, monkeypatch):
+        # L_22^2 ~ Gamma(0.1) falls below the cone margin in about one draw of ten
+        want, want_state = outcome(lambda rng: per_draw_loop(0.6, 2, rng, 3000), RngStream(3))
+        sizes = []
+        monkeypatch.setattr(randmat, "open_cone_test", counting(open_cone_test, sizes))
+        got, got_state = outcome(lambda rng: sample_wishart_seq(0.6, 2, rng, 3000), RngStream(3))
+        assert isinstance(want, np.ndarray)
+        assert got.tobytes() == want.tobytes() and got_state == want_state
+        # each failure wastes the rest of its run, so runs shrink to the spacing
+        # of failures: a few times the draws are made, not one run per failure
+        assert sizes.count(1) > 500 and sum(sizes) < 4 * 3000
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_single_beta2_draws_match_the_one_slot_batch(self, r):
+        # the single draw skips SymMatrix's re-validation; _beta2_arrays
+        # symmetrizes exactly, so SymMatrix would have kept every bit
+        params = Beta2Params(2.0, 3.0, r)
+        rng, ref = RngStream(60 + r), RngStream(60 + r)
+        singles = [sample_beta2(params, rng) for _ in range(3000)]
+        want = np.array([SymMatrix(sample_beta2(params, ref, n=1)[0]).mat for _ in range(3000)])
+        assert np.array([x.mat for x in singles]).tobytes() == want.tobytes()
+        assert [x.min_eig for x in singles] == [float(open_cone_test(x[None])[0][0]) for x in want]
+        assert rng.generator.bit_generator.state == ref.generator.bit_generator.state
+
+    def test_count_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="count >= 1"):
+            sample_wishart_seq(3.0, 2, RngStream(1), 0)
 
 
 class TestStreams:
