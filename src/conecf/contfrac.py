@@ -31,9 +31,10 @@ Evaluation conventions, applied throughout:
   Each case of a stack gets bit for bit what it gets alone, which is
   what lets the identity suite evaluate its cases as stacks.
 * Traces run forward, once over the levels, for a whole stack of
-  sequences at once (``_differences``; ``trace_cf`` is its one-sequence
-  case, and ``trace_differences`` certifies a raw stack of unit-quotient
-  numerators and traces it, for the Monte Carlo harness).  The level
+  sequences at once: ``differences_raw`` is the one forward kernel, and
+  ``trace_cf`` is its one-sequence case.  Like ``cf_general_raw`` it takes
+  the Cholesky factors of numerators already certified, as the samplers
+  certify the Monte Carlo harness's draws.  The level
   map g_n(X) = l_n (y_n + X)^{-1} l_n^T is the linear-fractional map of
   M_n = [[0, l_n], [l_n^{-T}, l_n^{-T} y_n]], and the convergents of a
   prefix P_k = M_1 ... M_k = [[A, B], [C, D]] need only its bottom block
@@ -111,7 +112,7 @@ __all__ = [
     "u_raw",
     "q_apply",
     "trace_cf",
-    "trace_differences",
+    "differences_raw",
 ]
 
 DEPTH_CAP = 64
@@ -432,7 +433,7 @@ def w_seq_raw(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``xs`` is a case-major ``(cases, n, r, r)`` array of certified
     numerators, n >= 2.  Returns the ``(cases, n - 1, r, r)`` differences
     w_k = (-1)^{k+1}([x_1..x_k] - [x_1..x_{k+1}]) from one forward trace
-    (``_differences``), bit for bit those of each chain alone, and a
+    (``differences_raw``), bit for bit those of each chain alone, and a
     ``(cases,)`` mask of the chains whose every w_k clears the open-cone
     margin (the sign alternation makes them positive definite).  For each
     chain in the mask the telescoping partial-sum identity
@@ -441,7 +442,7 @@ def w_seq_raw(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n = xs.shape[1]
     ls = _chol_raw(xs)
-    ws = _differences(ls, None)
+    ws = differences_raw(ls, None)
     certified = open_cone_test(ws)[1].all(axis=1)
     conv = xs[:, 0]
     for k in range(1, n):
@@ -665,12 +666,15 @@ def q_apply(xs: Sequence[ConeElement], k: int, v: ConeElement, adjoint: bool = F
 # ---------------------------------------------------------------------------
 
 
-def _differences(ls: np.ndarray, ys: Optional[np.ndarray]) -> np.ndarray:
+def differences_raw(ls: np.ndarray, ys: Optional[np.ndarray]) -> np.ndarray:
     """w_1 .. w_{depth-1} of every sequence of a stack, in one forward pass over the levels.
 
     ``ls`` holds the Cholesky factors of the numerators as a
     ``(trials, depth, r, r)`` stack and ``ys`` the denominators in the same
-    shape (None for unit denominators).  The normalised transfer row
+    shape (None for unit denominators).  Like ``cf_general_raw``, it takes
+    numerators already certified and certifies only what it inverts.
+    Returns the ``(trials, depth - 1, r, r)`` array of
+    w_k = (-1)^{k+1}(R_k - R_{k+1}).  The normalised transfer row
     [T_k, e] of every trial advances together:
     T_k = (y_k + l_k^T T_{k-1} l_k)^{-1} is certified before each
     inversion, the error naming the level (and the trial's stack index);
@@ -700,31 +704,10 @@ def _differences(ls: np.ndarray, ys: Optional[np.ndarray]) -> np.ndarray:
     return sym_raw(ws)
 
 
-def trace_differences(xs: np.ndarray) -> np.ndarray:
-    """The differences w_1 .. w_{depth-1} of a whole stack of unit-quotient continued fractions.
-
-    ``xs`` is a ``(trials, depth, r, r)`` array of partial numerators,
-    certified by ``cone_checked_raw`` as a sequence file's are: each must be
-    finite, symmetric to within SymMatrix's 1e-9 relative, and clear the
-    open-cone margin; it is then symmetrized.  The first that fails raises,
-    named by its level and trial (``partial numerator x_3 of trial 1``).
-    Returns the ``(trials, depth - 1, r, r)`` array of
-    w_k = (-1)^{k+1}(R_k - R_{k+1}) from the forward pass ``trace_cf`` makes
-    for one sequence, bit for bit the same for every trial whatever the
-    rest of the stack holds.
-    """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 4 or xs.shape[-1] != xs.shape[-2] or xs.shape[0] < 1 or xs.shape[1] < 2:
-        raise ValueError(f"expected a (trials >= 1, depth >= 2, r, r) stack, got shape {xs.shape}")
-    depth = xs.shape[1]
-    xs = cone_checked_raw(xs, lambda i: f"partial numerator x_{i % depth + 1} of trial {i // depth}")
-    return _differences(_chol_raw(xs), None)
-
-
 def trace_cf(seq: CFSequence, depth: int) -> ConvergentTrace:
     """Convergents R_1..R_depth with forward differences, for analysis/export; uncapped in depth.
 
-    One forward pass (``_differences``) gives every w_k = (-1)^{k+1}(R_k - R_{k+1})
+    One forward pass (``differences_raw``) gives every w_k = (-1)^{k+1}(R_k - R_{k+1})
     without subtracting, and the convergents are its partial sums from R_1,
     which is evaluated as ``cf_general`` evaluates it.
     """
@@ -735,7 +718,7 @@ def trace_cf(seq: CFSequence, depth: int) -> ConvergentTrace:
     first = _innermost(xs[0], ls[0], None if ys is None else ys[0], 1)
     if seq.head is not None:
         first = seq.head + first
-    ws = _differences(ls[None], None if ys is None else ys[None])[0]
+    ws = differences_raw(ls[None], None if ys is None else ys[None])[0]
     # R_{k+1} = R_k + (-1)^k w_k, summed in level order
     steps = np.concatenate([first[None], ws])
     steps[1::2] *= -1.0

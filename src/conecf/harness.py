@@ -16,12 +16,13 @@ identity.
 Determinism: all randomness flows from one master seed.  In the
 experiment, trial t draws from ``split_stream(master, t)`` alone, its
 odd-indexed numerators as one batch and then its even-indexed ones as
-another (one batch at period 1); trials are then traced and certified
-as ``(trials, depth, r, r)`` stacks of bounded size whose every step acts
-on each trial by itself.  So a trial's rows depend only on (seed,
-trial_id), not on how many trials run, and with fixed output formatting
-equal configurations produce byte-identical artifacts.  The identity suite
-draws each identity's cases from ``split_stream(master, i)`` as successive
+another (one batch at period 1), certified by the sampler alone; trials
+are traced through ``differences_raw`` as ``(trials, depth, r, r)``
+stacks of bounded size whose every step acts on each trial by itself.
+So a trial's rows depend only on (seed, trial_id), not on how many
+trials run, and with fixed output formatting equal configurations
+produce byte-identical artifacts.  The identity suite draws each
+identity's cases from ``split_stream(master, i)`` as successive
 single Wishart draws in case order, a stack of them at a time through
 ``sample_wishart_seq`` (bit for bit the single draws), and then evaluates the
 map identities, the ordinary equivalence (one stack per length n) and the
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import json
-import statistics
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,12 +45,12 @@ import numpy as np
 from .contfrac import (
     cf_general_raw,
     cf_ordinary_raw,
+    differences_raw,
     f_closed,
     f_direct,
     jump_direct,
     q_apply,
     to_ordinary_raw,
-    trace_differences,
     u_raw,
     w_seq_raw,
 )
@@ -71,9 +72,10 @@ from .randmat import Beta2Params, RngStream, sample_beta2, sample_wishart, sampl
 
 __all__ = [
     "ExperimentConfig",
-    "TrialResult",
     "run_convergence_experiment",
+    "summary_json",
     "run_identity_suite",
+    "format_identity_report",
     "SUMMARY_SCHEMA",
 ]
 
@@ -117,8 +119,8 @@ class ExperimentConfig:
             )
         if self.law not in ("beta2", "identity"):
             raise ValueError(f"unknown law {self.law!r}")
-        if self.cauchy_eps <= 0.0:
-            raise ValueError("cauchy_eps must be positive")
+        if not (self.cauchy_eps > 0.0 and math.isfinite(self.cauchy_eps)):
+            raise ValueError(f"cauchy_eps must be positive and finite, got {self.cauchy_eps}")
         if self.law == "beta2":
             for pair in self.shape_pairs():
                 Beta2Params(pair[0], pair[1], self.rank)  # validates the domain
@@ -127,15 +129,6 @@ class ExperimentConfig:
         if self.period == 1:
             return [(self.b, self.a)]
         return [(self.b, self.a), (self.b, self.a_prime)]
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    trial_id: int
-    converged: bool
-    first_cauchy_k: Optional[int]
-    final_delta: float
-    monotonicity_violations: int
 
 
 # Trials run in stacks of this many numerator entries (trials * depth * r * r),
@@ -151,7 +144,9 @@ def _draw_inputs(cfg: ExperimentConfig, master: RngStream, trial_ids: range) -> 
     of its odd-indexed numerators (x_1, x_3, ...) from the first shape pair,
     then one of its even-indexed ones from the second (period 2), or one
     block of all of them (period 1).  So a trial's inputs depend only on
-    (seed, trial_id), never on which trials share its stack.
+    (seed, trial_id), never on which trials share its stack.  Each batch
+    comes certified by the sampler; the ``identity`` law's numerators are
+    the exact unit element and need no certificate.
     """
     r, depth = cfg.rank, cfg.depth
     if cfg.law == "identity":
@@ -168,39 +163,26 @@ def _draw_inputs(cfg: ExperimentConfig, master: RngStream, trial_ids: range) -> 
 
 
 def _run_trials(cfg: ExperimentConfig, master: RngStream, trial_ids: range, rows: Optional[list]):
-    """Trace and certify ``trial_ids`` as one stack.
+    """Trace ``trial_ids``' sampler-certified numerators as one stack.
 
-    Returns their TrialResults, their ``(trials, depth - 1)`` delta norms
-    and the smallest eigenvalue of any consecutive difference w_k - w_{k+1};
-    appends their CSV rows to ``rows`` unless it is None.  One forward
-    trace, one stacked eigen call for the margins and one for the
-    monotonicity test each act on every trial's slices alone.
+    Returns their ``(trials, depth - 1)`` delta norms, first Cauchy indices
+    (0 for none) and monotonicity violation counts, and the smallest
+    eigenvalue of any w_k - w_{k+1}; appends their CSV rows to ``rows``
+    unless it is None, taking the margins' eigen call only then.  Every
+    step acts on each trial's slices alone.
     """
-    ws = trace_differences(_draw_inputs(cfg, master, trial_ids))
+    ws = differences_raw(chol_raw(_draw_inputs(cfg, master, trial_ids)), None)
     deltas = frob_norm(ws)
-    margins = min_eig_raw(ws)
     mono_min, breaches = closed_cone_test(ws[:, :-1] - ws[:, 1:])
     # the converged tail: k from which every later delta is below eps
     tail = np.logical_and.accumulate(deltas[:, ::-1] < cfg.cauchy_eps, axis=1)[:, ::-1]
-
-    results = []
-    per_trial = zip(trial_ids, deltas.tolist(), margins.tolist(), tail.tolist(),
-                    breaches.sum(axis=1).tolist())
-    for trial_id, drow, mrow, trow, violations in per_trial:
-        first_cauchy = cfg.depth - sum(trow) if trow[-1] else None
-        results.append(
-            TrialResult(
-                trial_id=trial_id,
-                converged=first_cauchy is not None,
-                first_cauchy_k=first_cauchy,
-                final_delta=drow[-1],
-                monotonicity_violations=violations,
-            )
-        )
-        if rows is not None:
+    first_cauchy = np.where(tail[:, -1], cfg.depth - tail.sum(axis=1), 0)
+    if rows is not None:
+        per_trial = zip(trial_ids, deltas.tolist(), min_eig_raw(ws).tolist(), tail.tolist())
+        for trial_id, drow, mrow, trow in per_trial:
             for k, (delta, margin, so_far) in enumerate(zip(drow, mrow, trow), start=1):
                 rows.append(f"{trial_id},{k},{delta!r},{margin!r},{'true' if so_far else 'false'}")
-    return results, deltas, float(mono_min.min())
+    return deltas, first_cauchy, breaches.sum(axis=1), float(mono_min.min())
 
 
 def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
@@ -217,19 +199,17 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
     master = RngStream(cfg.seed)
     chunk = max(1, _CHUNK_ENTRIES // (cfg.depth * cfg.rank * cfg.rank))
     rows: Optional[list[str]] = [] if cfg.out_path is not None else None
-    results: list[TrialResult] = []
     deltas = np.empty((cfg.trials, cfg.depth - 1))
+    first_cauchy = np.empty(cfg.trials, dtype=int)
+    violations = np.empty(cfg.trials, dtype=int)
     mono_min = np.inf
     for lo in range(0, cfg.trials, chunk):
         trial_ids = range(lo, min(lo + chunk, cfg.trials))
-        part, deltas[lo:trial_ids.stop], least = _run_trials(cfg, master, trial_ids, rows)
-        results += part
+        part = slice(lo, trial_ids.stop)
+        deltas[part], first_cauchy[part], violations[part], least = _run_trials(cfg, master, trial_ids, rows)
         mono_min = min(mono_min, least)
 
-    converged = [res for res in results if res.converged]
-    firsts = sorted(res.first_cauchy_k for res in converged)
-    median_first = float(statistics.median(firsts)) if firsts else None
-
+    firsts = first_cauchy[first_cauchy > 0]
     summary = {
         "schema": SUMMARY_SCHEMA,
         "law": cfg.law,
@@ -240,10 +220,10 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
         "depth": cfg.depth,
         "seed": cfg.seed,
         "cauchy_eps": cfg.cauchy_eps,
-        "fraction_converged": len(converged) / cfg.trials,
-        "trials_converged": len(converged),
-        "median_first_cauchy_k": median_first,
-        "monotonicity_violations": sum(res.monotonicity_violations for res in results),
+        "fraction_converged": firsts.size / cfg.trials,
+        "trials_converged": firsts.size,
+        "median_first_cauchy_k": float(np.median(firsts)) if firsts.size else None,
+        "monotonicity_violations": int(violations.sum()),
         "max_monotonicity_violation": max(0.0, -mono_min),
         "median_delta_by_k": np.median(deltas, axis=0).tolist(),
     }

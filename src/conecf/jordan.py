@@ -7,7 +7,9 @@ stay at rank <= 16), and every operation is a pure function over
 immutable values.
 
 All eigen work goes through ``_jacobi``, in double precision: closed
-forms at rank <= 2 and LAPACK at rank >= 3.
+forms at rank <= 2 and LAPACK at rank >= 3.  The one exception is
+``randmat``'s beta-2 quotient, which calls LAPACK's ``eigh`` at every
+rank: through ``_jacobi``, every rank-2 draw would change.
 
 The raw-array primitives (``_jacobi``, ``sym_raw``, ``sym_checked_raw``,
 ``cone_checked_raw``, ``power_raw``, ``inv_cone_raw``, ``min_eig_raw``,

@@ -485,7 +485,10 @@ class TestUsage:
 
 
 class TestRefusedParameters:
-    """A rank below 1 or an infinite shape is refused up front: exit 1, and the error is all of stderr."""
+    """A rank below 1, an infinite shape or an eps not positive and finite is refused up front.
+
+    Exit 1, and the error is all of stderr.
+    """
 
     @pytest.mark.parametrize("argv, error", [
         (["identities", "--rank", "0"], "rank must be at least 1, got 0"),
@@ -497,6 +500,8 @@ class TestRefusedParameters:
         (["sample", "--dist", "wishart", "--s", "inf"], "shapes must be finite, got s=inf"),
         (["sample", "--dist", "beta2", "--p", "inf"], "shapes must be finite, got p=inf, q=3.0"),
         (["mc", "--a", "inf", "--trials", "1", "--depth", "5"], "shapes must be finite, got p=3.0, q=inf"),
+        (["mc", "--eps", "nan"], "cauchy_eps must be positive and finite, got nan"),
+        (["mc", "--eps", "inf"], "cauchy_eps must be positive and finite, got inf"),
     ])
     def test_refused_with_one_error_line(self, argv, error):
         proc = run_cli_module(*argv)

@@ -35,12 +35,11 @@ from conecf import (
 from conecf import contfrac
 from conecf.contfrac import (
     DEPTH_CAP,
-    _differences,
     cf_depths,
     cf_general_raw,
     cf_ordinary_raw,
+    differences_raw,
     to_ordinary_raw,
-    trace_differences,
     u_raw,
     w_seq_raw,
 )
@@ -404,12 +403,10 @@ class TestStackedTrace:
         trials, depth = 7, 40
         xs = np.array([[wishart_array(rng, r) for _ in range(depth)] for _ in range(trials)])
         ys = np.array([[wishart_array(rng, r) for _ in range(depth)] for _ in range(trials)]) if general else None
-        ws = _differences(_chol_raw(xs), ys)
+        ws = differences_raw(_chol_raw(xs), ys)
         assert ws.shape == (trials, depth - 1, r, r)
-        if not general:
-            assert np.array_equal(trace_differences(xs), ws)
         for t in range(trials):
-            alone = _differences(_chol_raw(xs[t:t + 1]), None if ys is None else ys[t:t + 1])[0]
+            alone = differences_raw(_chol_raw(xs[t:t + 1]), None if ys is None else ys[t:t + 1])[0]
             assert np.array_equal(ws[t], alone)
             seq = CFSequence(tuple(cone(SymMatrix(x)) for x in xs[t]),
                              None if ys is None else tuple(cone(SymMatrix(y)) for y in ys[t]))
@@ -420,31 +417,7 @@ class TestStackedTrace:
         ys = np.array(xs)
         ys[1, 0] = np.diag([1.0, 1e-12])  # T_1 = y_1^{-1} must clear the relative cone margin
         with pytest.raises(ConeMembershipError, match=r"transfer denominator at level 1 \(stack index \(1,\)\)"):
-            _differences(_chol_raw(xs), ys)
-
-    def test_numerators_are_certified(self):
-        xs = np.array(np.broadcast_to(np.eye(2), (3, 5, 2, 2)))
-        upper = xs.copy()
-        upper[1, 2, 0, 1] = 0.5  # the Cholesky factor reads the lower triangle only
-        with pytest.raises(ValueError, match="x_3 of trial 1 is not symmetric"):
-            trace_differences(upper)
-        thin = xs.copy()
-        thin[2, 0] = np.diag([1.0, 1e-12])  # positive, but inside the relative cone margin
-        with pytest.raises(ConeMembershipError, match="x_1 of trial 2 leaves the cone"):
-            trace_differences(thin)
-        for bad in (np.nan, np.inf):
-            junk = xs.copy()
-            junk[0, 4, 1, 1] = bad
-            with pytest.raises(ValueError, match="finite"):
-                trace_differences(junk)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError, match="stack"):
-            trace_differences(np.ones((4, 2, 2)))
-        with pytest.raises(ValueError, match="stack"):
-            trace_differences(np.ones((0, 3, 2, 2)))
-        with pytest.raises(ValueError, match="stack"):
-            trace_differences(np.broadcast_to(np.eye(2), (1, 1, 2, 2)))
+            differences_raw(_chol_raw(xs), ys)
 
 
 def mixed_stack(rng: np.random.Generator, r: int, levels: int, cases: int = 6) -> np.ndarray:
@@ -746,7 +719,6 @@ OUTSIDE = {
 ENTRIES = {
     "SymMatrix": ("matrix", lambda xs: cone(SymMatrix(xs[1, 2])).mat),
     "CFSequence": ("xs level 3", lambda xs: CFSequence(xs[1]).xs),
-    "trace_differences": ("partial numerator x_3 of trial 1", trace_differences),
 }
 
 

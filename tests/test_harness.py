@@ -26,7 +26,7 @@ from conecf import (
     u_vec,
     w_seq,
 )
-from conecf import harness
+from conecf import contfrac, harness, jordan
 from conecf.harness import CSV_HEADER, format_identity_report, summary_json
 from conecf.jordan import closed_cone_test
 
@@ -62,6 +62,11 @@ class TestConfig:
             small_cfg(law="cauchy")
         with pytest.raises(ValueError, match="period"):
             small_cfg(period=3)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-6, float("nan"), float("inf")])
+    def test_validates_cauchy_eps(self, eps):
+        with pytest.raises(ValueError, match=f"^cauchy_eps must be positive and finite, got {eps}$"):
+            small_cfg(cauchy_eps=eps)
 
     def test_period_one_pairs(self):
         assert small_cfg(period=1).shape_pairs() == [(2.0, 2.0)]
@@ -127,6 +132,21 @@ class TestExperiment:
         a = run_convergence_experiment(small_cfg(seed=1))
         b = run_convergence_experiment(small_cfg(seed=2))
         assert a["median_delta_by_k"] != b["median_delta_by_k"]
+
+    @pytest.mark.parametrize("law", ["beta2", "identity"])
+    def test_numerators_are_certified_once_by_the_sampler(self, law, tmp_path, monkeypatch):
+        # mc traces the sampler's certified draws as they come: no second certification
+        out = tmp_path / "mc.csv"
+        cfg = small_cfg(rank=3, trials=4, depth=12, law=law, out_path=str(out))
+        expected, rows = run_convergence_experiment(cfg), out.read_bytes()
+
+        def refuse(*args):
+            raise AssertionError("mc certified its numerators a second time")
+
+        for module in (contfrac, harness, jordan):
+            monkeypatch.setattr(module, "cone_checked_raw", refuse)
+        assert run_convergence_experiment(cfg) == expected
+        assert out.read_bytes() == rows
 
     def test_summary_json_round_trips(self):
         summary = run_convergence_experiment(small_cfg(trials=2, depth=10))

@@ -5,12 +5,16 @@ triangular congruences, randmat the sampling, contfrac the tail-first
 kernel.  A sibling that needs one goes through a public name.  jordan also
 owns the certification policy: no other module names its tolerances or
 words its error for a matrix outside the cone.
+Every module with an ``__all__`` lists there each public function and
+class it defines, and nothing it lacks.  Eigenpairs come from jordan,
+except randmat's beta-2 quotient, which calls LAPACK itself.
 numpy is the only runtime dependency: nothing under the package imports
 scipy, directly or through another package.  Everything computes in
 double precision: no module names numpy's longdouble.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import conecf
@@ -106,3 +110,34 @@ def test_importing_the_package_leaves_scipy_unloaded():
     proc = run_python("-c", "import conecf, sys; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def defined_public(path: Path) -> set[str]:
+    """Every public function or class a module defines at its top level."""
+    tree = ast.parse(path.read_text(), str(path))
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {node.name for node in tree.body if isinstance(node, kinds) and not node.name.startswith("_")}
+
+
+def test_every_module_lists_what_it_defines_in_all():
+    offenders = {}
+    for path in sorted(PACKAGE.glob("[!_]*.py")):
+        module = importlib.import_module(f"conecf.{path.stem}")
+        if not hasattr(module, "__all__"):
+            continue
+        listed = set(module.__all__)
+        missing = sorted(name for name in listed if not hasattr(module, name))
+        unlisted = sorted(defined_public(path) - listed)
+        if missing or unlisted:
+            offenders[path.name] = {"missing": missing, "unlisted": unlisted}
+    assert offenders == {}
+
+
+def test_only_jordan_and_randmat_name_eigh():
+    # randmat's beta-2 quotient keeps LAPACK's eigh at every rank: routing it
+    # through jordan's closed forms would change every rank-2 draw
+    offenders = sorted(
+        path.name for path in PACKAGE.glob("*.py")
+        if path.name not in ("jordan.py", "randmat.py") and "eigh" in mentioned_names(path)
+    )
+    assert offenders == []
